@@ -1,30 +1,23 @@
 // Engine selection for the simulation kernel.
 //
-// The kernel ships three engine kinds that produce bit-identical results
+// The kernel ships two engine kinds that produce bit-identical results
 // (proven by tests/engine_determinism_test.cpp) at different simulation
 // speeds:
 //
-//  * kNaive     — the reference semantics: every module evaluates and every
-//                 state element commits on every edge. Slow, obviously
-//                 correct; the baseline the other engines are checked
-//                 against.
-//  * kOptimized — idle-module gating + dirty-list commits (DESIGN.md §7):
-//                 parked modules are skipped via run lists rebuilt whenever
-//                 a module parks or wakes.
-//  * kSoa       — the optimized engine's gating expressed over flat
-//                 structure-of-arrays scheduling state: per-clock activity
-//                 bitmaps scanned eight modules at a time replace the run
-//                 list rebuilds, so per-edge cost tracks *activity*, not
-//                 instantiated hardware (DESIGN.md §7). The only kind that
-//                 also runs multi-threaded: with threads > 1 the evaluate
-//                 phase is partitioned into mesh regions swept by a
-//                 persistent worker pool (sim/parallel.h), still
-//                 bit-identical at any thread count.
+//  * kNaive — the reference semantics: every module evaluates and every
+//             state element commits on every edge. Slow, obviously
+//             correct; the baseline the gated engine is checked against.
+//  * kGated — idle-module gating + dirty-list commits (DESIGN.md §7):
+//             parked modules drop out of flat per-clock activity bitmaps
+//             scanned 64 modules per word, so per-edge cost tracks
+//             *activity*, not instantiated hardware. The default.
 //
-// EngineConfig {kind, threads} is the single engine-selection currency
-// across the stack: SocOptions, scenario specs
-// (`engine naive|optimized|soa [threads N]`), sweep axes (engine/threads)
-// and the CLI tools (--engine / --threads) all speak EngineConfig.
+// Both engines step on one thread. To use several cores, run independent
+// simulations side by side with `noc_sweep --jobs N` (DESIGN.md §7.7).
+//
+// EngineConfig is the engine-selection currency across the stack:
+// SocOptions, scenario specs (`engine naive|gated`), the sweep `engine`
+// axis and the CLI tools (--engine) all speak it.
 #ifndef AETHEREAL_SIM_ENGINE_H
 #define AETHEREAL_SIM_ENGINE_H
 
@@ -36,93 +29,54 @@ namespace aethereal::sim {
 
 enum class EngineKind {
   kNaive,
-  kOptimized,
-  kSoa,
+  kGated,
 };
+
+/// The engine selection. An alias, not a struct: the kind is the whole
+/// selection.
+using EngineConfig = EngineKind;
 
 /// Stable lowercase name, matching the spec grammar and --engine values.
 constexpr const char* EngineKindName(EngineKind kind) {
   switch (kind) {
     case EngineKind::kNaive:
       return "naive";
-    case EngineKind::kOptimized:
-      return "optimized";
-    case EngineKind::kSoa:
-      return "soa";
+    case EngineKind::kGated:
+      return "gated";
   }
   return "unknown";
 }
 
-/// Inverse of EngineKindName; nullopt for anything else.
+/// Inverse of EngineKindName; nullopt for anything else. `optimized` and
+/// `soa` — the names of two earlier gated engines that made the same
+/// park/wake decisions — stay accepted as aliases of `gated`, so existing
+/// specs and command lines still run.
 inline std::optional<EngineKind> ParseEngineKind(std::string_view text) {
   if (text == "naive") return EngineKind::kNaive;
-  if (text == "optimized") return EngineKind::kOptimized;
-  if (text == "soa") return EngineKind::kSoa;
+  if (text == "gated" || text == "optimized" || text == "soa") {
+    return EngineKind::kGated;
+  }
   return std::nullopt;
 }
 
 /// The --engine / spec-grammar value set, for help text and error messages.
-inline constexpr const char* kEngineKindChoices = "naive|optimized|soa";
+inline constexpr const char* kEngineKindChoices = "naive|gated";
 
-/// Upper bound on EngineConfig::threads — far above any sane host, it only
-/// exists so a typo'd thread count fails validation instead of spawning a
-/// thousand workers.
-inline constexpr unsigned kMaxEngineThreads = 64;
-
-/// The full engine selection: which kind, and how many threads step it.
-///
-/// threads == 1 (the default) is the sequential engine exactly as before.
-/// threads > 1 is only meaningful for kSoa — the region-parallel evaluate
-/// (sim/parallel.h) is built on the SoA activity bitmaps — and is validated
-/// by ValidateEngineConfig(); results are bit-identical at any thread
-/// count, so the thread count is a speed knob, never a semantics knob.
-struct EngineConfig {
-  EngineConfig() = default;
-  // Implicit on purpose: EngineKind remains usable anywhere an EngineConfig
-  // is expected (`set_engine(EngineKind::kSoa)`, `options.engine = kind`).
-  EngineConfig(EngineKind k, unsigned t = 1) : kind(k), threads(t) {}
-
-  EngineKind kind = EngineKind::kOptimized;
-  unsigned threads = 1;
-
-  friend bool operator==(const EngineConfig&, const EngineConfig&) = default;
-};
-
-/// Human-readable form for summaries and error messages: "soa" or
-/// "soa threads 4".
-inline std::string EngineConfigName(const EngineConfig& config) {
-  std::string name = EngineKindName(config.kind);
-  if (config.threads != 1) {
-    name += " threads ";
-    name += std::to_string(config.threads);
-  }
-  return name;
+/// True when `text` is the removed per-run engine thread count as an input
+/// spelled it: the spec-grammar keyword and sweep axis, or the CLI flag.
+inline bool NamesRemovedThreadCount(std::string_view text) {
+  return text == "threads" || text == "--threads";  // see UseJobsInstead
 }
 
-/// Empty string when valid; otherwise the reason the combination is
-/// rejected. Shared by SocOptions::Validate, the spec parser and the CLIs
-/// so every layer reports the same rule.
-inline std::string ValidateEngineConfig(const EngineConfig& config) {
-  switch (config.kind) {
-    case EngineKind::kNaive:
-    case EngineKind::kOptimized:
-    case EngineKind::kSoa:
-      break;
-    default:
-      return "unknown engine kind";
-  }
-  if (config.threads < 1) {
-    return "engine threads must be >= 1";
-  }
-  if (config.threads > kMaxEngineThreads) {
-    return "engine threads must be <= " + std::to_string(kMaxEngineThreads);
-  }
-  if (config.threads > 1 && config.kind != EngineKind::kSoa) {
-    return std::string("engine '") + EngineKindName(config.kind) +
-           "' is single-threaded; threads > 1 requires the soa engine "
-           "(use `engine soa threads N`)";
-  }
-  return {};
+/// The error for inputs that still ask for a per-run engine thread count
+/// (`what` describes the removed knob). Every input layer — spec grammar,
+/// sweep axes, CLI flags — reports the same pointer to the parallelism that
+/// does pay off.
+inline std::string UseJobsInstead(std::string_view what) {
+  std::string message(what);
+  message += " is no longer supported (the engine steps on one thread); use "
+             "`noc_sweep --jobs N` to run independent simulations on N cores";
+  return message;
 }
 
 }  // namespace aethereal::sim

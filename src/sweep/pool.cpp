@@ -64,13 +64,13 @@ void RunJobs(std::size_t n, int workers,
     }
   };
 
-  std::vector<std::thread> threads;
-  threads.reserve(num_workers - 1);
+  std::vector<std::thread> helpers;
+  helpers.reserve(num_workers - 1);
   for (std::size_t w = 1; w < num_workers; ++w) {
-    threads.emplace_back(work, w);
+    helpers.emplace_back(work, w);
   }
   work(0);
-  for (std::thread& t : threads) t.join();
+  for (std::thread& t : helpers) t.join();
 }
 
 }  // namespace aethereal::sweep

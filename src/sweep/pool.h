@@ -20,9 +20,9 @@
 
 namespace aethereal::sweep {
 
-/// Runs `fn(i)` for every i in [0, n), on `workers` threads (clamped to
-/// [1, n]; workers <= 1 runs inline on the caller). Blocks until all jobs
-/// finish. `fn` must not throw.
+/// Runs `fn(i)` for every i in [0, n) on a pool of `workers` std::thread
+/// workers (clamped to [1, n]; workers <= 1 runs inline on the caller).
+/// Blocks until all jobs finish. `fn` must not throw.
 void RunJobs(std::size_t n, int workers,
              const std::function<void(std::size_t)>& fn);
 

@@ -337,8 +337,8 @@ TEST(ScenarioDeterminismTest, SameSpecAndSeedGiveIdenticalJson) {
     traffic uniform inject bernoulli 0.05 qos be
     traffic pairs 0 3 inject bursty 5 30 qos gt 2
   )");
-  EXPECT_EQ(RunToJson(spec, sim::EngineKind::kOptimized),
-            RunToJson(spec, sim::EngineKind::kOptimized));
+  EXPECT_EQ(RunToJson(spec, sim::EngineKind::kGated),
+            RunToJson(spec, sim::EngineKind::kGated));
 }
 
 TEST(ScenarioDeterminismTest, SeedChangesTheResult) {
@@ -349,16 +349,16 @@ TEST(ScenarioDeterminismTest, SeedChangesTheResult) {
     traffic uniform inject bernoulli 0.05 qos be
   )");
   spec.seed = 1;
-  const std::string a = RunToJson(spec, sim::EngineKind::kOptimized);
+  const std::string a = RunToJson(spec, sim::EngineKind::kGated);
   spec.seed = 2;
-  const std::string b = RunToJson(spec, sim::EngineKind::kOptimized);
+  const std::string b = RunToJson(spec, sim::EngineKind::kGated);
   EXPECT_NE(a, b);
 }
 
 // The canonical specs must produce the byte-identical result JSON on the
-// optimized and the naive engine — the scenario-level restatement of the
-// PR-1 bit-exactness contract (ISSUE 2 satellite).
-TEST(ScenarioDeterminismTest, OptimizedAndNaiveEnginesAgreeOnCanonicalSpecs) {
+// gated and the naive engine — the scenario-level restatement of the
+// engine bit-exactness contract.
+TEST(ScenarioDeterminismTest, GatedAndNaiveEnginesAgreeOnCanonicalSpecs) {
   const std::vector<std::string> names = {
       "uniform_star", "bursty_ring", "video_mesh", "memory_star"};
   for (const std::string& name : names) {
@@ -368,7 +368,7 @@ TEST(ScenarioDeterminismTest, OptimizedAndNaiveEnginesAgreeOnCanonicalSpecs) {
     ASSERT_TRUE(spec.ok()) << spec.status();
     // Shorten: the full duration is the golden test's job.
     spec->duration = 2000;
-    EXPECT_EQ(RunToJson(*spec, sim::EngineKind::kOptimized),
+    EXPECT_EQ(RunToJson(*spec, sim::EngineKind::kGated),
               RunToJson(*spec, sim::EngineKind::kNaive))
         << name;
   }

@@ -256,36 +256,35 @@ TEST(SpecErrorsTest, StatsAndTraceParse) {
 }
 
 TEST(SpecErrorsTest, EngineDirectiveParses) {
-  // The bare pre-EngineConfig form still parses (back-compat).
-  auto bare = ParseScenario("noc star 4\nengine optimized\ntraffic uniform\n");
-  ASSERT_TRUE(bare.ok()) << bare.status();
-  EXPECT_EQ(bare->engine, sim::EngineConfig(sim::EngineKind::kOptimized));
-
-  auto threaded =
-      ParseScenario("noc star 4\nengine soa threads 4\ntraffic uniform\n");
-  ASSERT_TRUE(threaded.ok()) << threaded.status();
-  EXPECT_EQ(threaded->engine, sim::EngineConfig(sim::EngineKind::kSoa, 4));
-
-  // threads 1 is the sequential engine, any kind.
-  auto one = ParseScenario(
-      "noc star 4\nengine naive threads 1\ntraffic uniform\n");
-  ASSERT_TRUE(one.ok()) << one.status();
-  EXPECT_EQ(one->engine, sim::EngineConfig(sim::EngineKind::kNaive));
+  auto naive = ParseScenario("noc star 4\nengine naive\ntraffic uniform\n");
+  ASSERT_TRUE(naive.ok()) << naive.status();
+  EXPECT_EQ(naive->engine, sim::EngineKind::kNaive);
+  // `optimized` and `soa` are kept as aliases of gated so existing specs
+  // still run.
+  for (const char* name : {"gated", "optimized", "soa"}) {
+    auto spec = ParseScenario(std::string("noc star 4\nengine ") + name +
+                              "\ntraffic uniform\n");
+    ASSERT_TRUE(spec.ok()) << name << ": " << spec.status();
+    EXPECT_EQ(spec->engine, sim::EngineKind::kGated) << name;
+  }
+  // No engine line: the gated engine.
+  auto fallback = ParseScenario("noc star 4\ntraffic uniform\n");
+  ASSERT_TRUE(fallback.ok()) << fallback.status();
+  EXPECT_EQ(fallback->engine, sim::EngineKind::kGated);
 }
 
 TEST(SpecErrorsTest, EngineDirectiveErrors) {
   ExpectError("noc star 4\nengine warp\ntraffic uniform\n",
-              "engine <naive|optimized|soa> [threads N]", 2);
+              "engine <naive|gated>", 2);
   ExpectError("noc star 4\nengine soa 4\ntraffic uniform\n",
-              "engine <naive|optimized|soa> [threads N]", 2);
-  ExpectError("noc star 4\nengine soa threads 0\ntraffic uniform\n",
-              "out of range", 2);
-  ExpectError("noc star 4\nengine soa threads 65\ntraffic uniform\n",
-              "out of range", 2);
-  // The migration error: threads > 1 on a single-threaded engine points
-  // at the new form.
-  ExpectError("noc star 4\nengine optimized threads 4\ntraffic uniform\n",
-              "use `engine soa threads N`", 2);
+              "engine <naive|gated>", 2);
+  ExpectError("noc star 4\nengine\ntraffic uniform\n",
+              "engine <naive|gated>", 2);
+  // The removed per-run thread count fails cleanly, on any engine and at
+  // any count, and points to whole-run parallelism instead.
+  ExpectError("noc star 4\nengine soa threads 4\n", "noc_sweep --jobs", 2);
+  ExpectError("noc star 4\nengine gated threads 1\n", "noc_sweep --jobs", 2);
+  ExpectError("noc star 4\nengine naive threads 0\n", "noc_sweep --jobs", 2);
 }
 
 }  // namespace

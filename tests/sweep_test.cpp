@@ -82,33 +82,38 @@ TEST(ApplyParamTest, ScenarioLevelKeys) {
   EXPECT_FALSE(ApplyParam(*ParseParamRef("noc"), "ring2x1", &spec).ok());
 }
 
-TEST(ApplyParamTest, EngineAndThreadsKeys) {
+TEST(ApplyParamTest, EngineKey) {
   auto spec = BaseSpec();
-  ASSERT_TRUE(ApplyParam(*ParseParamRef("engine"), "soa", &spec).ok());
-  EXPECT_EQ(spec.engine.kind, sim::EngineKind::kSoa);
-  ASSERT_TRUE(ApplyParam(*ParseParamRef("threads"), "4", &spec).ok());
-  EXPECT_EQ(spec.engine, sim::EngineConfig(sim::EngineKind::kSoa, 4));
-  // Order-independent: threads may land before the engine axis; the
-  // combined config is validated per grid point, not per value.
-  auto other = BaseSpec();
-  ASSERT_TRUE(ApplyParam(*ParseParamRef("threads"), "2", &other).ok());
-  ASSERT_TRUE(ApplyParam(*ParseParamRef("engine"), "soa", &other).ok());
-  EXPECT_EQ(other.engine, sim::EngineConfig(sim::EngineKind::kSoa, 2));
-
+  ASSERT_TRUE(ApplyParam(*ParseParamRef("engine"), "naive", &spec).ok());
+  EXPECT_EQ(spec.engine, sim::EngineKind::kNaive);
+  // `optimized` and `soa` stay accepted as aliases of gated.
+  for (const char* name : {"gated", "optimized", "soa"}) {
+    spec.engine = sim::EngineKind::kNaive;
+    ASSERT_TRUE(ApplyParam(*ParseParamRef("engine"), name, &spec).ok());
+    EXPECT_EQ(spec.engine, sim::EngineKind::kGated) << name;
+  }
   EXPECT_FALSE(ApplyParam(*ParseParamRef("engine"), "warp", &spec).ok());
-  EXPECT_FALSE(ApplyParam(*ParseParamRef("threads"), "0", &spec).ok());
-  EXPECT_FALSE(ApplyParam(*ParseParamRef("threads"), "65", &spec).ok());
   // Scenario-level keys reject a traffic scope.
   EXPECT_FALSE(ParseParamRef("g0.engine").ok());
-  EXPECT_FALSE(ParseParamRef("g0.threads").ok());
+}
 
-  // ValidateAxisValue enforces the combined rule against the base: a
-  // threads value > 1 on a single-threaded base engine fails up front.
-  auto base = BaseSpec();
-  base.engine = sim::EngineKind::kOptimized;
-  EXPECT_FALSE(ValidateAxisValue(*ParseParamRef("threads"), "4", base).ok());
-  base.engine = sim::EngineKind::kSoa;
-  EXPECT_TRUE(ValidateAxisValue(*ParseParamRef("threads"), "4", base).ok());
+// The removed per-run engine thread count is not a sweep axis any more:
+// naming it returns a Status that points to whole-run parallelism.
+TEST(ApplyParamTest, RemovedThreadCountAxisPointsToJobs) {
+  auto points_to_jobs = [](const std::string& token) {
+    auto ref = ParseParamRef(token);
+    return !ref.ok() && ref.status().message().find("noc_sweep --jobs N") !=
+                            std::string::npos;
+  };
+  EXPECT_TRUE(points_to_jobs("threads"));
+  EXPECT_TRUE(points_to_jobs("g0.threads"));
+  // And a .swp that still sweeps it fails at parse time with a line number.
+  auto jobs_error = Parse("base b\naxis threads 1 4\n");
+  ASSERT_FALSE(jobs_error.ok());
+  EXPECT_NE(jobs_error.status().message().find("line 2"), std::string::npos)
+      << jobs_error.status();
+  EXPECT_NE(jobs_error.status().message().find("--jobs"), std::string::npos)
+      << jobs_error.status();
 }
 
 TEST(ApplyParamTest, TrafficKeysTargetMatchingDirectives) {

@@ -98,9 +98,7 @@ TEST(VerifiedRun, MonitorIsNonInvasive) {
   auto expected = baseline.Run();
   ASSERT_TRUE(expected.ok()) << expected.status();
 
-  for (sim::EngineKind engine : {sim::EngineKind::kNaive,
-                                 sim::EngineKind::kOptimized,
-                                 sim::EngineKind::kSoa}) {
+  for (sim::EngineKind engine : {sim::EngineKind::kNaive, sim::EngineKind::kGated}) {
     SCOPED_TRACE(sim::EngineKindName(engine));
     scenario::ScenarioSpec spec = GtPairSpec();
     spec.verify = true;

@@ -2,12 +2,14 @@
 //
 // Expands one or more .swp sweep specs (see src/sweep/spec.h for the
 // format) into a cartesian job grid, runs every point as an independent
-// ScenarioRunner on a work-stealing thread pool, and emits deterministic
-// sweep JSON / CSV — byte-identical for any --jobs value.
+// ScenarioRunner on a work-stealing worker pool, and emits deterministic
+// sweep JSON / CSV — byte-identical for any --jobs value. This is the way
+// to use several cores: the engine itself steps each point on one thread.
 //
 // Usage:
 //   noc_sweep [options] SWEEP_FILE...
-//     --jobs N            worker threads (default: all hardware threads)
+//     --jobs N            points run in parallel (default: one per
+//                         hardware thread)
 //     -o FILE             write sweep JSON to FILE (several sweeps: an
 //                         array). '-' writes JSON to stdout.
 //     --csv FILE          write the per-point CSV (single sweep only)
@@ -22,9 +24,7 @@
 //                         grid point and saturation probe; any violation
 //                         fails the sweep
 //     --engine E          override the base scenario's engine (naive |
-//                         optimized | soa) for every point
-//     --threads N         override the base's engine thread count for
-//                         every point (N > 1 needs the soa engine)
+//                         gated) for every point
 //     --seed N            override the base scenario's RNG seed
 //     --fault FILE        arm the fault models from a fault file in every
 //                         grid point (replaces the base's fault block)
@@ -78,7 +78,7 @@ void PrintUsage(std::ostream& os) {
                    "[--curve PARAM]", "[--axis PARAM=V1,V2,...]",
                    "[--verify]",
                    std::string("[--engine ") + sim::kEngineKindChoices + "]",
-                   "[--threads N]", "[--seed N]", "[--fault FILE]",
+                   "[--seed N]", "[--fault FILE]",
                    "[--converge E]",
                    "[--converge-conf C]", "[--converge-max-duration D]",
                    "[--converge-interval I]", "[--converge-batches B]",
@@ -304,12 +304,7 @@ int main(int argc, char** argv) {
     // Materialized points copy the base spec, so these overrides reach
     // every grid point and saturation probe.
     if (options.common.verify) spec->base.verify = true;
-    if (!cli::ApplyEngineOverrides("noc_sweep", options.common,
-                                   &spec->base)) {
-      if (!options.validate) return 1;
-      ++validate_failures;
-      continue;
-    }
+    if (options.common.engine) spec->base.engine = *options.common.engine;
     if (options.common.seed) spec->base.seed = *options.common.seed;
     if (!cli::ApplyConvergeOverrides("noc_sweep", options.common,
                                      &spec->base)) {
