@@ -32,8 +32,8 @@
 # the committed goldens are regen-clean, run the guarantee-verification
 # layer (noc_verify over every canonical scenario and sweep on both
 # engines, plus a fixed-seed conformance-fuzz batch — under ASan in the
-# sanitize configuration), and — on plain Release — a bench_speed smoke so
-# perf regressions surface.
+# sanitize configuration), and — on plain Release — bench_speed,
+# bench_sweep and perfbench smokes so perf regressions surface.
 #
 # Coverage baseline-bump procedure: scripts/coverage_baseline.txt records
 # the minimum acceptable src/ line coverage (whole percents). When a PR
@@ -472,6 +472,11 @@ else:
 assert ratio >= floor, \
     f"parallel sweep speedup {ratio:.2f}x below floor {floor}x ({cores} cores)"
 EOF
+
+  echo "=== perfbench smoke: the repo benchmark's self-test ==="
+  # Builds the benchmark harness into .bench_build/ from this checkout and
+  # runs every workload briefly, checking its outputs.
+  python3 perfbench/run.py --smoke
 fi
 
 if [[ "$coverage" == "1" ]]; then

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <numeric>
+#include <span>
 #include <sstream>
 #include <tuple>
 
@@ -115,10 +117,10 @@ ip::TrafficPattern MemoryPattern(const TrafficSpec& traffic) {
   return pattern;
 }
 
-/// Collects the monitor's recorded violations, plus the beyond-cap notes
-/// (shared by the static and the phased verify epilogues). Violations the
-/// monitor classified as fault-induced land in `degradations` when it is
-/// non-null (network faults armed), in `problems` otherwise.
+/// Collects the monitor's recorded violations, plus the beyond-cap notes.
+/// Violations the monitor classified as fault-induced land in
+/// `degradations` when it is non-null (network faults armed), in
+/// `problems` otherwise.
 void AppendMonitorProblems(verify::Monitor* monitor,
                            std::vector<std::string>* problems,
                            std::vector<std::string>* degradations) {
@@ -155,33 +157,33 @@ void AppendMonitorProblems(verify::Monitor* monitor,
   }
 }
 
-/// The GT throughput floor of one flow over one measurement window: the
-/// flow must deliver whatever it admitted, or at least the slot tables'
-/// guaranteed rate, minus a bounded in-flight allowance. `where` names
-/// the window ("in the window" / "in phase '...'"). One formula for the
-/// static and the phased paths.
-void CheckGtThroughputFloor(const char* what, std::size_t group,
-                            const std::string& where, NiId src, NiId dst,
-                            std::int64_t admitted, std::int64_t delivered,
-                            double guaranteed_wpc, std::int64_t slack,
-                            Cycle duration,
-                            std::vector<std::string>* problems) {
-  const auto guaranteed_words = static_cast<std::int64_t>(
-      guaranteed_wpc * static_cast<double>(duration));
-  const std::int64_t floor = std::min(admitted, guaranteed_words) - slack;
-  if (delivered >= floor) return;
-  std::ostringstream oss;
-  oss << "gt-throughput: " << what << " g" << group << " " << src << "->"
-      << dst << " delivered " << delivered << " words " << where
-      << "; floor is min(admitted " << admitted << ", guaranteed "
-      << guaranteed_words << ") - slack " << slack;
-  problems->push_back(oss.str());
+/// In-flight allowance for the throughput floor of one GT hop: words
+/// legitimately parked in the source and destination queues, the network
+/// pipeline, and the current (partial) table rotation at either window
+/// boundary.
+std::int64_t HopSlackWords(const verify::GtBound& bound, int queue_words) {
+  return 2 * static_cast<std::int64_t>(queue_words) +
+         static_cast<std::int64_t>(bound.hops + 2) * kFlitWords +
+         2 * bound.words_per_rotation + 2 * kFlitWords;
 }
 
-/// Whole-run NI-level aggregates and slot utilization, identical for the
-/// static and the phased paths. The NI kernel accounts a slot at every
-/// cycle divisible by kFlitWords starting at cycle 0, hence the ceiling
-/// division.
+/// The latency fields of a phase-window summary (PhaseFlowStats or
+/// PhaseResult): exact mean and nearest-rank percentiles of the window's
+/// samples, sorted once.
+template <typename PhaseSummary>
+void SetWindowLatency(const std::vector<double>& sorted, double sum,
+                      PhaseSummary* out) {
+  out->latency_count = static_cast<std::int64_t>(sorted.size());
+  if (sorted.empty()) return;
+  out->latency_mean = sum / static_cast<double>(sorted.size());
+  out->latency_p50 = SortedPercentile(sorted, 50);
+  out->latency_p95 = SortedPercentile(sorted, 95);
+  out->latency_p99 = SortedPercentile(sorted, 99);
+}
+
+/// Whole-run NI-level aggregates and slot utilization. The NI kernel
+/// accounts a slot at every cycle divisible by kFlitWords starting at
+/// cycle 0, hence the ceiling division.
 void AggregateNiStats(soc::Soc* soc, int num_nis, ScenarioResult* result) {
   for (NiId ni = 0; ni < static_cast<NiId>(num_nis); ++ni) {
     const core::NiKernelStats& stats = soc->ni(ni)->stats();
@@ -203,8 +205,7 @@ void AggregateNiStats(soc::Soc* soc, int num_nis, ScenarioResult* result) {
           : 0.0;
 }
 
-/// Formats the verify-mode problem list into the run error (shared by the
-/// static and the phased paths).
+/// Formats the verify-mode problem list into the run error.
 Status VerificationError(const std::string& name,
                          const std::vector<std::string>& problems) {
   std::ostringstream oss;
@@ -482,22 +483,64 @@ Result<ScenarioResult> ScenarioRunner::Run() {
   AETHEREAL_CHECK_MSG(!ran_, "ScenarioRunner::Run is single-shot");
   if (Status s = Build(); !s.ok()) return s;
   ran_ = true;
-  if (spec_.Phased()) return RunPhased();
 
+  ScenarioResult result;
+  result.spec = spec_;
+  std::vector<Window> windows;
+  if (spec_.Phased()) {
+    if (Status s = RunPhases(&windows, &result); !s.ok()) return s;
+  } else {
+    windows.push_back(RunStatic());
+    if (spec_.converge.enabled) result.convergence = windows.back().conv;
+  }
+  result.cycles_run = soc_->net_clock()->cycles();
+  AssembleFlows(windows, &result);
+  AggregateNiStats(soc_.get(), spec_.NumNis(), &result);
+
+  std::vector<std::string> degradations;
+  if (spec_.verify) {
+    const bool fault_aware =
+        spec_.fault.has_value() && spec_.fault->AnyNetworkFaults();
+    std::vector<std::string> problems;
+    VerifyRun(windows, &problems, fault_aware ? &degradations : nullptr);
+    if (!problems.empty()) return VerificationError(spec_.name, problems);
+  }
+  FillFaultResult(std::move(degradations), &result);
+  if (Status s = FinalizeObsIntoResult(&result); !s.ok()) return s;
+  return result;
+}
+
+std::size_t ScenarioRunner::NumFlows() const {
+  return stream_flows_.size() + video_chains_.size() + memory_flows_.size();
+}
+
+ScenarioRunner::FlowView ScenarioRunner::ViewOf(std::size_t i) const {
+  if (i < stream_flows_.size()) {
+    const StreamFlow& f = stream_flows_[i];
+    return {"stream", f.group, f.flow.src, f.flow.dst,
+            f.consumer->words_read(), f.source->words_written(),
+            &f.consumer->latency()};
+  }
+  i -= stream_flows_.size();
+  if (i < video_chains_.size()) {
+    const VideoChain& c = video_chains_[i];
+    return {"video", c.group, c.chain.front(), c.chain.back(),
+            c.consumer->words_read(), c.source->words_written(),
+            &c.consumer->latency()};
+  }
+  const MemoryFlow& m = memory_flows_[i - video_chains_.size()];
+  const std::int64_t burst = spec_.traffic[m.group].mem_burst_words;
+  return {"memory", m.group, m.flow.src, m.flow.dst,
+          m.master->completed() * burst, m.master->issued() * burst,
+          &m.master->latency()};
+}
+
+ScenarioRunner::Window ScenarioRunner::RunStatic() {
   soc_->RunCycles(spec_.warmup);
 
-  // Every latency stream the run owns, in directive order (streams, then
-  // chains, then memory masters) — the single iteration order shared by
-  // the convergence sampling below so the CI population is deterministic.
-  auto each_latency = [&](auto&& fn) {
-    for (const StreamFlow& f : stream_flows_) fn(f.consumer->latency());
-    for (const VideoChain& c : video_chains_) fn(c.consumer->latency());
-    for (const MemoryFlow& m : memory_flows_) fn(m.master->latency());
-  };
-
   const stats_ctl::ConvergeSpec& cv = spec_.converge;
-  stats_ctl::ConvergenceOutcome conv;
-  conv.warmup_cycles = spec_.warmup;
+  Cycle extended = 0;
+  bool warm = false;
   if (cv.enabled && cv.auto_warmup) {
     // Welch-style warmup extension: keep settling in short steps until
     // the trailing per-step latency means AND delivered-word counts stop
@@ -515,29 +558,21 @@ Result<ScenarioResult> ScenarioRunner::Run() {
     auto totals = [&]() {
       std::int64_t count = 0;
       double sum = 0;
-      each_latency([&](const Stats& s) {
-        count += s.count();
-        sum += s.Sum();
-      });
       std::int64_t words = 0;
-      for (const StreamFlow& f : stream_flows_) {
-        words += f.consumer->words_read();
-      }
-      for (const VideoChain& c : video_chains_) {
-        words += c.consumer->words_read();
-      }
-      for (const MemoryFlow& m : memory_flows_) {
-        words += m.master->completed() *
-                 spec_.traffic[m.group].mem_burst_words;
+      for (std::size_t i = 0; i < NumFlows(); ++i) {
+        const FlowView v = ViewOf(i);
+        count += v.latency->count();
+        sum += v.latency->Sum();
+        words += v.delivered;
       }
       return std::tuple<std::int64_t, double, std::int64_t>(count, sum,
                                                             words);
     };
     auto [pc, ps, pw] = totals();
-    Cycle extended = 0;
     while (!det.warm() && extended < extend_cap) {
-      soc_->RunCycles(interval);
-      extended += interval;
+      const Cycle step = std::min(interval, extend_cap - extended);
+      soc_->RunCycles(step);
+      extended += step;
       auto [cc, cs, w] = totals();
       const std::int64_t dn = cc - pc;
       det.Observe(dn > 0 ? (cs - ps) / static_cast<double>(dn) : 0.0,
@@ -546,153 +581,187 @@ Result<ScenarioResult> ScenarioRunner::Run() {
       ps = cs;
       pw = w;
     }
-    conv.warmup_detected = det.warm();
-    conv.warmup_cycles += extended;
+    warm = det.warm();
   }
 
-  // Measurement-window baselines (latency stats stay cumulative — they
-  // are summaries of exact integer samples either way). The admitted-word
-  // baselines feed the verify-mode guarantee checks.
-  std::vector<std::int64_t> stream0, video0, mem0, stream_adm0, video_adm0;
-  for (const StreamFlow& f : stream_flows_) {
-    stream0.push_back(f.consumer->words_read());
-    stream_adm0.push_back(f.source->words_written());
-  }
-  for (const VideoChain& c : video_chains_) {
-    video0.push_back(c.consumer->words_read());
-    video_adm0.push_back(c.source->words_written());
-  }
-  for (const MemoryFlow& m : memory_flows_) {
-    mem0.push_back(m.master->completed());
-  }
-  std::vector<std::size_t> lat0;
-  each_latency(
-      [&](const Stats& s) { lat0.push_back(static_cast<std::size_t>(s.count())); });
+  Window window = MeasureWindow(-1, spec_.duration);
+  window.conv.warmup_detected = warm;
+  window.conv.warmup_cycles = spec_.warmup + extended;
+  return window;
+}
 
-  if (obs::ObsHub* hub = soc_->obs_hub()) {
-    hub->NotePhase(obs::kPhaseBegin, soc_->net_clock()->cycles(), 0);
+ScenarioRunner::Window ScenarioRunner::MeasureWindow(int k, Cycle duration) {
+  Window window;
+  window.k = k;
+  window.start = soc_->net_clock()->cycles();
+  window.cycles = duration;
+  // Baselines: until the window closes, each active flow's fields hold its
+  // counters at window start. Latency stats stay cumulative; the sample
+  // range [first, last) is exactly this window's population.
+  window.flows.resize(NumFlows());
+  for (std::size_t i = 0; i < window.flows.size(); ++i) {
+    const FlowView v = ViewOf(i);
+    FlowWindow& fw = window.flows[i];
+    fw.active = spec_.traffic[v.group].ActiveIn(k);
+    if (!fw.active) continue;
+    fw.words = v.delivered;
+    fw.admitted = v.admitted;
+    fw.first = static_cast<std::size_t>(v.latency->count());
+    fw.lat_sum = v.latency->Sum();
+    // Verify mode: the guaranteed rate of each active GT stream and video
+    // chain under the slot tables in force during THIS window.
+    if (spec_.verify && spec_.traffic[v.group].gt &&
+        i < stream_flows_.size() + video_chains_.size()) {
+      fw.floor = FloorOf(i);
+    }
   }
-  Cycle measured = spec_.duration;
+
+  obs::ObsHub* hub = soc_->obs_hub();
+  if (hub != nullptr) {
+    hub->NotePhase(obs::kPhaseBegin, window.start, std::max(k, 0));
+  }
+  const stats_ctl::ConvergeSpec& cv = spec_.converge;
   if (!cv.enabled) {
-    soc_->RunCycles(spec_.duration);
+    soc_->RunCycles(duration);
   } else {
     // Stop-on-convergence window: run in check-interval steps; after each,
-    // form the batch-means CI over every latency sample recorded since the
-    // measurement baseline (flows concatenated in directive order). Stop
-    // once the interval is trustworthy (valid batches, batch means not
-    // strongly lag-1 correlated) AND tight enough, or at the cycle cap.
-    const Cycle interval = cv.IntervalFor(spec_.duration);
-    const Cycle cap = cv.MaxDurationFor(spec_.duration);
+    // form the batch-means CI over every latency sample the window's flows
+    // recorded since its start (concatenated in flow order). Stop once the
+    // interval is trustworthy (valid batches, batch means not strongly
+    // lag-1 correlated) AND tight enough, or at the cycle cap. Phases
+    // converge independently: their traffic mixes differ, so pooling
+    // samples across windows would be meaningless.
+    const Cycle interval = cv.IntervalFor(duration);
+    const Cycle cap = cv.MaxDurationFor(duration);
     Cycle run = 0;
-    std::vector<double> window;
+    std::vector<double> samples;
     while (true) {
       const Cycle step = std::min(interval, cap - run);
       soc_->RunCycles(step);
       run += step;
-      window.clear();
-      std::size_t at = 0;
-      each_latency([&](const Stats& s) {
-        window.insert(window.end(),
-                      s.samples().begin() +
-                          static_cast<std::ptrdiff_t>(lat0[at]),
-                      s.samples().end());
-        ++at;
-      });
-      conv.ci = stats_ctl::BatchMeansCi(window, 0, window.size(),
-                                        cv.batches, cv.conf);
-      if (conv.ci.valid && conv.ci.rel_err <= cv.rel_err &&
-          std::fabs(conv.ci.lag1) <= cv.lag1_limit) {
-        conv.converged = true;
+      samples.clear();
+      for (std::size_t i = 0; i < window.flows.size(); ++i) {
+        if (!window.flows[i].active) continue;
+        const std::vector<double>& all = ViewOf(i).latency->samples();
+        samples.insert(samples.end(),
+                       all.begin() + static_cast<std::ptrdiff_t>(
+                                         window.flows[i].first),
+                       all.end());
+      }
+      window.conv.ci = stats_ctl::BatchMeansCi(samples, 0, samples.size(),
+                                               cv.batches, cv.conf);
+      if (window.conv.ci.valid && window.conv.ci.rel_err <= cv.rel_err &&
+          std::fabs(window.conv.ci.lag1) <= cv.lag1_limit) {
+        window.conv.converged = true;
         break;
       }
       if (run >= cap) break;
     }
-    measured = run;
-    conv.measured_cycles = run;
+    window.cycles = run;
+    window.conv.measured_cycles = run;
   }
-  if (obs::ObsHub* hub = soc_->obs_hub()) {
-    hub->NotePhase(obs::kPhaseEnd, soc_->net_clock()->cycles(), 0);
+  if (hub != nullptr) {
+    hub->NotePhase(obs::kPhaseEnd, soc_->net_clock()->cycles(),
+                   std::max(k, 0));
   }
 
-  ScenarioResult result;
-  result.spec = spec_;
-  result.cycles_run = soc_->net_clock()->cycles();
+  for (std::size_t i = 0; i < window.flows.size(); ++i) {
+    FlowWindow& fw = window.flows[i];
+    if (!fw.active) continue;
+    const FlowView v = ViewOf(i);
+    fw.words = v.delivered - fw.words;
+    fw.admitted = v.admitted - fw.admitted;
+    fw.last = static_cast<std::size_t>(v.latency->count());
+    fw.lat_sum = v.latency->Sum() - fw.lat_sum;
+  }
+  return window;
+}
 
-  // Flow results, grouped back into directive order.
-  std::size_t si = 0, vi = 0, mi = 0;
-  for (std::size_t g = 0; g < spec_.traffic.size(); ++g) {
-    const TrafficSpec& traffic = spec_.traffic[g];
-    auto base = [&](const TrafficSpec& t) {
-      FlowResult r;
-      r.pattern = PatternKindName(t.pattern);
-      r.group = static_cast<int>(g);
-      r.gt = t.gt;
-      r.gt_slots = t.gt_slots;
-      return r;
-    };
-    if (traffic.pattern == PatternKind::kVideo) {
-      const VideoChain& c = video_chains_[vi];
-      FlowResult r = base(traffic);
-      r.src = c.chain.front();
-      r.dst = c.chain.back();
-      r.words_total = c.consumer->words_read();
-      r.words_in_window = r.words_total - video0[vi];
-      r.latency = Summarize(c.consumer->latency());
-      r.latency_samples = c.consumer->latency().samples();
-      result.flows.push_back(std::move(r));
-      ++vi;
-    } else if (traffic.pattern == PatternKind::kMemory) {
-      const MemoryFlow& m = memory_flows_[mi];
-      FlowResult r = base(traffic);
-      r.src = m.flow.src;
-      r.dst = m.flow.dst;
+ScenarioRunner::GtFloor ScenarioRunner::FloorOf(std::size_t i) {
+  std::size_t group = 0;
+  std::span<const Flow> hops;
+  std::span<const int> src_connids;
+  if (i < stream_flows_.size()) {
+    const StreamFlow& f = stream_flows_[i];
+    group = f.group;
+    hops = {&f.flow, 1};
+    src_connids = {&f.src_connid, 1};
+  } else {
+    const VideoChain& c = video_chains_[i - stream_flows_.size()];
+    group = c.group;
+    hops = c.hop_flows;
+    src_connids = c.hop_src_connids;
+  }
+  GtFloor floor;
+  floor.armed = true;
+  floor.guaranteed_wpc = -1;
+  for (std::size_t h = 0; h < hops.size(); ++h) {
+    const GtFlowBound hop = BoundOfHop(group, hops[h], src_connids[h]);
+    if (floor.guaranteed_wpc < 0 ||
+        hop.bound.min_throughput_wpc < floor.guaranteed_wpc) {
+      floor.guaranteed_wpc = hop.bound.min_throughput_wpc;
+    }
+    floor.slack += HopSlackWords(hop.bound, spec_.queue_words);
+  }
+  return floor;
+}
+
+void ScenarioRunner::AssembleFlows(const std::vector<Window>& windows,
+                                   ScenarioResult* result) const {
+  for (const Window& window : windows) {
+    result->measured_cycles += window.cycles;
+  }
+  const auto measured = static_cast<double>(result->measured_cycles);
+  // Flow order groups the flows by kind; results list them by directive.
+  std::vector<std::size_t> order(NumFlows());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return ViewOf(a).group < ViewOf(b).group;
+                   });
+  for (std::size_t i : order) {
+    const FlowView v = ViewOf(i);
+    const TrafficSpec& traffic = spec_.traffic[v.group];
+    FlowResult r;
+    r.pattern = PatternKindName(traffic.pattern);
+    r.group = static_cast<int>(v.group);
+    r.src = v.src;
+    r.dst = v.dst;
+    r.gt = traffic.gt;
+    r.gt_slots = traffic.gt_slots;
+    r.phase = traffic.phase;
+    r.persist = traffic.persist;
+    r.words_total = v.delivered;
+    for (const Window& window : windows) {
+      const FlowWindow& fw = window.flows[i];
+      if (!fw.active) continue;
+      r.words_in_window += fw.words;
+      if (window.k < 0) continue;
+      PhaseFlowStats ps;
+      ps.phase = window.k;
+      ps.words = fw.words;
+      ps.throughput_wpc =
+          static_cast<double>(fw.words) / static_cast<double>(window.cycles);
+      if (fw.last > fw.first) {
+        SetWindowLatency(v.latency->SortedRange(fw.first, fw.last),
+                         fw.lat_sum, &ps);
+      }
+      r.phase_stats.push_back(ps);
+    }
+    r.throughput_wpc = static_cast<double>(r.words_in_window) / measured;
+    r.latency = Summarize(*v.latency);
+    r.latency_samples = v.latency->samples();
+    if (traffic.pattern == PatternKind::kMemory) {
+      const MemoryFlow& m =
+          memory_flows_[i - stream_flows_.size() - video_chains_.size()];
       r.transactions_issued = m.master->issued();
       r.transactions_completed = m.master->completed();
-      r.words_total = r.transactions_completed * traffic.mem_burst_words;
-      r.words_in_window =
-          (r.transactions_completed - mem0[mi]) * traffic.mem_burst_words;
-      r.latency = Summarize(m.master->latency());
-      r.latency_samples = m.master->latency().samples();
-      result.flows.push_back(std::move(r));
-      ++mi;
-    } else {
-      while (si < stream_flows_.size() && stream_flows_[si].group == g) {
-        const StreamFlow& f = stream_flows_[si];
-        FlowResult r = base(traffic);
-        r.src = f.flow.src;
-        r.dst = f.flow.dst;
-        r.words_total = f.consumer->words_read();
-        r.words_in_window = r.words_total - stream0[si];
-        r.latency = Summarize(f.consumer->latency());
-        r.latency_samples = f.consumer->latency().samples();
-        result.flows.push_back(std::move(r));
-        ++si;
-      }
     }
+    result->words_in_window += r.words_in_window;
+    result->flows.push_back(std::move(r));
   }
-  for (FlowResult& r : result.flows) {
-    r.throughput_wpc =
-        static_cast<double>(r.words_in_window) / static_cast<double>(measured);
-    result.words_in_window += r.words_in_window;
-  }
-  result.throughput_wpc = static_cast<double>(result.words_in_window) /
-                          static_cast<double>(measured);
-  if (cv.enabled) result.convergence = conv;
-
-  AggregateNiStats(soc_.get(), spec_.NumNis(), &result);
-
-  std::vector<std::string> degradations;
-  if (spec_.verify) {
-    const bool fault_aware =
-        spec_.fault.has_value() && spec_.fault->AnyNetworkFaults();
-    std::vector<std::string> problems;
-    CheckGuarantees(stream_adm0, video_adm0, stream0, video0, measured,
-                    &problems, fault_aware ? &degradations : nullptr);
-    if (!problems.empty()) return VerificationError(spec_.name, problems);
-  }
-  FillFaultResult(std::move(degradations), &result);
-  if (Status s = FinalizeObsIntoResult(&result); !s.ok()) return s;
-  return result;
+  result->throughput_wpc =
+      static_cast<double>(result->words_in_window) / measured;
 }
 
 GtFlowBound ScenarioRunner::BoundOfHop(std::size_t group, const Flow& flow,
@@ -742,19 +811,6 @@ Result<std::vector<GtFlowBound>> ScenarioRunner::ComputeGtBounds() {
   return bounds;
 }
 
-namespace {
-
-/// In-flight allowance for the throughput floor of one GT hop: words
-/// legitimately parked in the source and destination queues, the network
-/// pipeline, and the current (partial) table rotation at either window
-/// boundary.
-std::int64_t HopSlackWords(const verify::GtBound& bound, int queue_words) {
-  return 2 * static_cast<std::int64_t>(queue_words) +
-         static_cast<std::int64_t>(bound.hops + 2) * kFlitWords +
-         2 * bound.words_per_rotation + 2 * kFlitWords;
-}
-
-}  // namespace
 
 std::vector<std::size_t> ScenarioRunner::ClosingGroupsOf(int phase) const {
   std::vector<std::size_t> groups;
@@ -827,42 +883,13 @@ bool ScenarioRunner::GroupDrained(std::size_t group) const {
   return true;
 }
 
-Result<ScenarioResult> ScenarioRunner::RunPhased() {
+Status ScenarioRunner::RunPhases(std::vector<Window>* windows,
+                                 ScenarioResult* result) {
   verify::Monitor* monitor = soc_->monitor();
   obs::ObsHub* obs_hub = soc_->obs_hub();
   shells::ConfigShell* shell = soc_->config_shell();
   AETHEREAL_CHECK(shell != nullptr && driver_ != nullptr);
   auto now = [&] { return soc_->net_clock()->cycles(); };
-
-  ScenarioResult result;
-  result.spec = spec_;
-
-  // Whole-run accumulators: delivered words inside measured windows.
-  std::vector<std::int64_t> stream_window(stream_flows_.size(), 0);
-  std::vector<std::int64_t> video_window(video_chains_.size(), 0);
-  std::vector<std::int64_t> mem_window(memory_flows_.size(), 0);
-  std::vector<std::vector<PhaseFlowStats>> stream_ps(stream_flows_.size());
-  std::vector<std::vector<PhaseFlowStats>> video_ps(video_chains_.size());
-  std::vector<std::vector<PhaseFlowStats>> mem_ps(memory_flows_.size());
-
-  // Verify mode: per-window GT throughput-floor checks, evaluated at the
-  // end (the bound is computed at window start, from the slot tables in
-  // force during that phase).
-  struct WindowCheck {
-    const char* what;
-    std::size_t group;
-    std::size_t phase;
-    NiId src, dst;
-    std::int64_t admitted = 0, delivered = 0;
-    double guaranteed_wpc = 0;
-    std::int64_t slack = 0;
-    Cycle duration = 0;
-  };
-  std::vector<WindowCheck> window_checks;
-
-  auto active_in = [&](std::size_t g, std::size_t k) {
-    return spec_.traffic[g].ActiveIn(static_cast<int>(k));
-  };
 
   for (std::size_t k = 0; k < spec_.phases.size(); ++k) {
     const PhaseSpec& phase = spec_.phases[k];
@@ -975,7 +1002,7 @@ Result<ScenarioResult> ScenarioRunner::RunPhased() {
     tr.config_cycles = now() - config_start;
     tr.config_messages =
         shell->local_writes() + shell->remote_writes() - writes0;
-    result.transitions.push_back(std::move(tr));
+    result->transitions.push_back(std::move(tr));
 
     // 3. Switch the incoming phase's sources on and let the new use case
     // settle before measuring.
@@ -984,453 +1011,135 @@ Result<ScenarioResult> ScenarioRunner::RunPhased() {
         SetGroupActive(g, true, now());
       }
     }
-    soc_->RunCycles(k == 0 ? spec_.warmup + phase.warmup : phase.warmup);
+    const Cycle settle = (k == 0 ? spec_.warmup : Cycle{0}) + phase.warmup;
+    soc_->RunCycles(settle);
 
-    // 4. The measured window.
+    // 4. The measured window, summarized over the merged samples of every
+    // flow active in it. Phases keep their declared warmups under
+    // `converge` — reconfiguration transients are what they are for.
+    windows->push_back(MeasureWindow(static_cast<int>(k), phase.duration));
+    Window& window = windows->back();
+    window.conv.warmup_cycles = settle;
     PhaseResult pr;
     pr.name = phase.name;
-    pr.duration = phase.duration;
-    pr.window_start = now();
-
-    struct Snap {
-      std::int64_t delivered = 0, admitted = 0, lat_count = 0;
-      double lat_sum = 0;
-    };
-    std::vector<Snap> s0(stream_flows_.size());
-    std::vector<Snap> v0(video_chains_.size());
-    std::vector<Snap> m0(memory_flows_.size());
-    for (std::size_t i = 0; i < stream_flows_.size(); ++i) {
-      const StreamFlow& f = stream_flows_[i];
-      s0[i] = Snap{f.consumer->words_read(), f.source->words_written(),
-                   f.consumer->latency().count(),
-                   f.consumer->latency().Sum()};
-    }
-    for (std::size_t i = 0; i < video_chains_.size(); ++i) {
-      const VideoChain& c = video_chains_[i];
-      v0[i] = Snap{c.consumer->words_read(), c.source->words_written(),
-                   c.consumer->latency().count(),
-                   c.consumer->latency().Sum()};
-    }
-    for (std::size_t i = 0; i < memory_flows_.size(); ++i) {
-      const MemoryFlow& m = memory_flows_[i];
-      m0[i] = Snap{m.master->completed(), m.master->issued(),
-                   m.master->latency().count(), m.master->latency().Sum()};
-    }
-
-    // Verify mode: the guaranteed rate of each active GT flow under the
-    // slot tables in force during THIS phase.
-    struct WindowBound {
-      double guaranteed_wpc = 0;
-      std::int64_t slack = 0;
-    };
-    std::vector<WindowBound> s_bound(stream_flows_.size());
-    std::vector<WindowBound> v_bound(video_chains_.size());
-    if (spec_.verify) {
-      for (std::size_t i = 0; i < stream_flows_.size(); ++i) {
-        const StreamFlow& f = stream_flows_[i];
-        if (!spec_.traffic[f.group].gt || !active_in(f.group, k)) continue;
-        const GtFlowBound hop = BoundOfHop(f.group, f.flow, f.src_connid);
-        s_bound[i] = WindowBound{
-            hop.bound.min_throughput_wpc,
-            HopSlackWords(hop.bound, spec_.queue_words)};
-      }
-      for (std::size_t i = 0; i < video_chains_.size(); ++i) {
-        const VideoChain& c = video_chains_[i];
-        if (!spec_.traffic[c.group].gt || !active_in(c.group, k)) continue;
-        WindowBound bound;
-        bound.guaranteed_wpc = -1;
-        for (std::size_t h = 0; h < c.hop_flows.size(); ++h) {
-          const GtFlowBound hop =
-              BoundOfHop(c.group, c.hop_flows[h], c.hop_src_connids[h]);
-          if (bound.guaranteed_wpc < 0 ||
-              hop.bound.min_throughput_wpc < bound.guaranteed_wpc) {
-            bound.guaranteed_wpc = hop.bound.min_throughput_wpc;
-          }
-          bound.slack += HopSlackWords(hop.bound, spec_.queue_words);
-        }
-        v_bound[i] = bound;
-      }
-    }
-
-    if (obs_hub != nullptr) {
-      obs_hub->NotePhase(obs::kPhaseBegin, now(), static_cast<int>(k));
-    }
-    if (!spec_.converge.enabled) {
-      soc_->RunCycles(phase.duration);
-    } else {
-      // Stop-on-convergence window, per phase: extend in check-interval
-      // steps until the batch-means CI over the window's merged samples
-      // (every active flow, since its snapshot) is trustworthy and tight,
-      // or the per-window cycle cap is reached. Phases keep their declared
-      // warmups — reconfiguration transients are what the declared warmup
-      // is for — and converge independently: their traffic mixes differ,
-      // so pooling samples across windows would be meaningless.
-      const stats_ctl::ConvergeSpec& cv = spec_.converge;
-      const Cycle interval = cv.IntervalFor(phase.duration);
-      const Cycle cap = cv.MaxDurationFor(phase.duration);
-      stats_ctl::ConvergenceOutcome conv;
-      conv.warmup_cycles =
-          (k == 0 ? spec_.warmup : Cycle{0}) + phase.warmup;
-      Cycle run = 0;
-      std::vector<double> window;
-      while (true) {
-        const Cycle step = std::min(interval, cap - run);
-        soc_->RunCycles(step);
-        run += step;
-        window.clear();
-        auto append_since = [&](const Stats& s, std::int64_t count0) {
-          window.insert(window.end(),
-                        s.samples().begin() +
-                            static_cast<std::ptrdiff_t>(count0),
-                        s.samples().end());
-        };
-        for (std::size_t i = 0; i < stream_flows_.size(); ++i) {
-          if (!active_in(stream_flows_[i].group, k)) continue;
-          append_since(stream_flows_[i].consumer->latency(),
-                       s0[i].lat_count);
-        }
-        for (std::size_t i = 0; i < video_chains_.size(); ++i) {
-          if (!active_in(video_chains_[i].group, k)) continue;
-          append_since(video_chains_[i].consumer->latency(),
-                       v0[i].lat_count);
-        }
-        for (std::size_t i = 0; i < memory_flows_.size(); ++i) {
-          if (!active_in(memory_flows_[i].group, k)) continue;
-          append_since(memory_flows_[i].master->latency(),
-                       m0[i].lat_count);
-        }
-        conv.ci = stats_ctl::BatchMeansCi(window, 0, window.size(),
-                                          cv.batches, cv.conf);
-        if (conv.ci.valid && conv.ci.rel_err <= cv.rel_err &&
-            std::fabs(conv.ci.lag1) <= cv.lag1_limit) {
-          conv.converged = true;
-          break;
-        }
-        if (run >= cap) break;
-      }
-      conv.measured_cycles = run;
-      pr.duration = run;
-      pr.convergence = conv;
-    }
-    if (obs_hub != nullptr) {
-      obs_hub->NotePhase(obs::kPhaseEnd, now(), static_cast<int>(k));
-    }
-
-    // Samples of every flow active in this window, merged, for the
-    // phase-level latency summary (exact: the Stats objects keep their
-    // samples in insertion order, so [snap.lat_count, count) is exactly
-    // this window's population).
-    std::vector<double> phase_samples;
-    double phase_lat_sum = 0;
-    auto push_stats = [&](std::vector<PhaseFlowStats>* stats,
-                          std::int64_t words, const Snap& snap,
-                          const Stats& lat) {
-      PhaseFlowStats ps;
-      ps.phase = static_cast<int>(k);
-      ps.words = words;
-      // pr.duration = cycles actually measured (the declared duration, or
-      // the convergence-mode window).
-      ps.throughput_wpc =
-          static_cast<double>(words) / static_cast<double>(pr.duration);
-      ps.latency_count = lat.count() - snap.lat_count;
-      if (ps.latency_count > 0) {
-        const auto first = static_cast<std::size_t>(snap.lat_count);
-        const auto last = static_cast<std::size_t>(lat.count());
-        ps.latency_mean = (lat.Sum() - snap.lat_sum) /
-                          static_cast<double>(ps.latency_count);
-        // One sort serves all three percentiles of this window (many
-        // flows x phases each used to pay a fresh O(n log n) per query).
-        const std::vector<double> sorted = lat.SortedRange(first, last);
-        ps.latency_p50 = SortedPercentile(sorted, 50);
-        ps.latency_p95 = SortedPercentile(sorted, 95);
-        ps.latency_p99 = SortedPercentile(sorted, 99);
-        phase_samples.insert(phase_samples.end(),
-                             lat.samples().begin() + first,
-                             lat.samples().begin() + last);
-        phase_lat_sum += lat.Sum() - snap.lat_sum;
-      }
-      stats->push_back(ps);
-      pr.words_in_window += words;
-    };
-    for (std::size_t i = 0; i < stream_flows_.size(); ++i) {
-      const StreamFlow& f = stream_flows_[i];
-      if (!active_in(f.group, k)) continue;
-      const std::int64_t words = f.consumer->words_read() - s0[i].delivered;
-      push_stats(&stream_ps[i], words, s0[i], f.consumer->latency());
-      stream_window[i] += words;
-      if (spec_.verify && spec_.traffic[f.group].gt) {
-        window_checks.push_back(WindowCheck{
-            "stream", f.group, k, f.flow.src, f.flow.dst,
-            f.source->words_written() - s0[i].admitted, words,
-            s_bound[i].guaranteed_wpc, s_bound[i].slack, pr.duration});
-      }
-    }
-    for (std::size_t i = 0; i < video_chains_.size(); ++i) {
-      const VideoChain& c = video_chains_[i];
-      if (!active_in(c.group, k)) continue;
-      const std::int64_t words = c.consumer->words_read() - v0[i].delivered;
-      push_stats(&video_ps[i], words, v0[i], c.consumer->latency());
-      video_window[i] += words;
-      if (spec_.verify && spec_.traffic[c.group].gt) {
-        window_checks.push_back(WindowCheck{
-            "video", c.group, k, c.chain.front(), c.chain.back(),
-            c.source->words_written() - v0[i].admitted, words,
-            v_bound[i].guaranteed_wpc, v_bound[i].slack, pr.duration});
-      }
-    }
-    for (std::size_t i = 0; i < memory_flows_.size(); ++i) {
-      const MemoryFlow& m = memory_flows_[i];
-      if (!active_in(m.group, k)) continue;
-      const std::int64_t transactions = m.master->completed() - m0[i].delivered;
-      const std::int64_t words =
-          transactions * spec_.traffic[m.group].mem_burst_words;
-      push_stats(&mem_ps[i], words, m0[i], m.master->latency());
-      mem_window[i] += words;
+    pr.window_start = window.start;
+    pr.duration = window.cycles;
+    std::vector<double> samples;
+    double lat_sum = 0;
+    for (std::size_t i = 0; i < window.flows.size(); ++i) {
+      const FlowWindow& fw = window.flows[i];
+      if (!fw.active) continue;
+      pr.words_in_window += fw.words;
+      if (fw.last == fw.first) continue;
+      const std::vector<double>& all = ViewOf(i).latency->samples();
+      samples.insert(samples.end(),
+                     all.begin() + static_cast<std::ptrdiff_t>(fw.first),
+                     all.begin() + static_cast<std::ptrdiff_t>(fw.last));
+      lat_sum += fw.lat_sum;
     }
     pr.throughput_wpc = static_cast<double>(pr.words_in_window) /
                         static_cast<double>(pr.duration);
-    pr.latency_count = static_cast<std::int64_t>(phase_samples.size());
-    if (!phase_samples.empty()) {
-      std::sort(phase_samples.begin(), phase_samples.end());
-      pr.latency_mean =
-          phase_lat_sum / static_cast<double>(phase_samples.size());
-      pr.latency_p50 = SortedPercentile(phase_samples, 50);
-      pr.latency_p95 = SortedPercentile(phase_samples, 95);
-      pr.latency_p99 = SortedPercentile(phase_samples, 99);
-    }
-    result.phases.push_back(std::move(pr));
+    std::sort(samples.begin(), samples.end());
+    SetWindowLatency(samples, lat_sum, &pr);
+    if (spec_.converge.enabled) pr.convergence = window.conv;
+    result->phases.push_back(std::move(pr));
   }
 
-  // --- whole-run assembly (mirrors the static path) -------------------------
-  result.cycles_run = soc_->net_clock()->cycles();
-  // Cycles actually measured: the sum of the windows run, which is the
-  // spec's TotalDuration() exactly in fixed-duration mode.
-  Cycle measured = 0;
-  for (const PhaseResult& p : result.phases) measured += p.duration;
   if (spec_.converge.enabled) {
     // Roll-up: the run converged iff every window did; the per-window CIs
     // stay on their PhaseResults (phase 0's warmup_cycles already carries
     // the scenario-level warmup, so the sum is the total settle time).
     stats_ctl::ConvergenceOutcome conv;
     conv.converged = true;
-    conv.measured_cycles = measured;
-    for (const PhaseResult& p : result.phases) {
-      conv.converged = conv.converged && p.convergence->converged;
-      conv.warmup_cycles += p.convergence->warmup_cycles;
+    for (const Window& window : *windows) {
+      conv.converged = conv.converged && window.conv.converged;
+      conv.warmup_cycles += window.conv.warmup_cycles;
+      conv.measured_cycles += window.cycles;
     }
-    result.convergence = conv;
+    result->convergence = conv;
   }
-  std::size_t si = 0, vi = 0, mi = 0;
-  for (std::size_t g = 0; g < spec_.traffic.size(); ++g) {
-    const TrafficSpec& traffic = spec_.traffic[g];
-    auto base = [&](const TrafficSpec& t) {
-      FlowResult r;
-      r.pattern = PatternKindName(t.pattern);
-      r.group = static_cast<int>(g);
-      r.gt = t.gt;
-      r.gt_slots = t.gt_slots;
-      r.phase = t.phase;
-      r.persist = t.persist;
-      return r;
-    };
-    if (traffic.pattern == PatternKind::kVideo) {
-      const VideoChain& c = video_chains_[vi];
-      FlowResult r = base(traffic);
-      r.src = c.chain.front();
-      r.dst = c.chain.back();
-      r.words_total = c.consumer->words_read();
-      r.words_in_window = video_window[vi];
-      r.latency = Summarize(c.consumer->latency());
-      r.latency_samples = c.consumer->latency().samples();
-      r.phase_stats = std::move(video_ps[vi]);
-      result.flows.push_back(std::move(r));
-      ++vi;
-    } else if (traffic.pattern == PatternKind::kMemory) {
-      const MemoryFlow& m = memory_flows_[mi];
-      FlowResult r = base(traffic);
-      r.src = m.flow.src;
-      r.dst = m.flow.dst;
-      r.transactions_issued = m.master->issued();
-      r.transactions_completed = m.master->completed();
-      r.words_total = r.transactions_completed * traffic.mem_burst_words;
-      r.words_in_window = mem_window[mi];
-      r.latency = Summarize(m.master->latency());
-      r.latency_samples = m.master->latency().samples();
-      r.phase_stats = std::move(mem_ps[mi]);
-      result.flows.push_back(std::move(r));
-      ++mi;
-    } else {
-      while (si < stream_flows_.size() && stream_flows_[si].group == g) {
-        const StreamFlow& f = stream_flows_[si];
-        FlowResult r = base(traffic);
-        r.src = f.flow.src;
-        r.dst = f.flow.dst;
-        r.words_total = f.consumer->words_read();
-        r.words_in_window = stream_window[si];
-        r.latency = Summarize(f.consumer->latency());
-        r.latency_samples = f.consumer->latency().samples();
-        r.phase_stats = std::move(stream_ps[si]);
-        result.flows.push_back(std::move(r));
-        ++si;
-      }
-    }
-  }
-  for (FlowResult& r : result.flows) {
-    r.throughput_wpc = static_cast<double>(r.words_in_window) /
-                       static_cast<double>(measured);
-    result.words_in_window += r.words_in_window;
-  }
-  result.throughput_wpc = static_cast<double>(result.words_in_window) /
-                          static_cast<double>(measured);
-
-  AggregateNiStats(soc_.get(), spec_.NumNis(), &result);
-
-  std::vector<std::string> degradations;
-  if (spec_.verify) {
-    const bool fault_aware =
-        spec_.fault.has_value() && spec_.fault->AnyNetworkFaults();
-    std::vector<std::string> problems;
-    AETHEREAL_CHECK(monitor != nullptr);
-    AppendMonitorProblems(monitor, &problems,
-                          fault_aware ? &degradations : nullptr);
-    // Per-window GT throughput floors, against the slot tables that were
-    // in force during each phase window. Network faults legitimately eat
-    // into the floor, so shortfalls degrade instead of fail there.
-    std::vector<std::string>* gt_sink =
-        fault_aware ? &degradations : &problems;
-    for (const WindowCheck& check : window_checks) {
-      CheckGtThroughputFloor(
-          check.what, check.group,
-          "in phase '" + spec_.phases[check.phase].name + "'", check.src,
-          check.dst, check.admitted, check.delivered, check.guaranteed_wpc,
-          check.slack, check.duration, gt_sink);
-    }
-    for (const MemoryFlow& m : memory_flows_) {
-      if (m.master->completed() > m.master->issued()) {
-        std::ostringstream oss;
-        oss << "transaction-ordering: memory g" << m.group << " completed "
-            << m.master->completed() << " transactions but only issued "
-            << m.master->issued();
-        problems.push_back(oss.str());
-      }
-    }
-    for (const StreamFlow& f : stream_flows_) {
-      if (f.consumer->words_read() > f.source->words_written()) {
-        std::ostringstream oss;
-        oss << "flit-integrity: stream g" << f.group << " " << f.flow.src
-            << "->" << f.flow.dst << " read " << f.consumer->words_read()
-            << " words but the source only wrote "
-            << f.source->words_written();
-        problems.push_back(oss.str());
-      }
-    }
-    if (!problems.empty()) return VerificationError(spec_.name, problems);
-  }
-  FillFaultResult(std::move(degradations), &result);
-  if (Status s = FinalizeObsIntoResult(&result); !s.ok()) return s;
-  return result;
+  return OkStatus();
 }
 
-void ScenarioRunner::CheckGuarantees(
-    const std::vector<std::int64_t>& stream_admitted0,
-    const std::vector<std::int64_t>& video_admitted0,
-    const std::vector<std::int64_t>& stream_delivered0,
-    const std::vector<std::int64_t>& video_delivered0, Cycle duration,
-    std::vector<std::string>* problems,
-    std::vector<std::string>* degradations) {
+void ScenarioRunner::VerifyRun(const std::vector<Window>& windows,
+                               std::vector<std::string>* problems,
+                               std::vector<std::string>* degradations) {
   verify::Monitor* monitor = soc_->monitor();
   AETHEREAL_CHECK(monitor != nullptr);
   AppendMonitorProblems(monitor, problems, degradations);
 
-  // Analytical GT guarantees: the throughput floor, per measurement
-  // window (`duration` = measured cycles actually run — the fixed spec
-  // duration, or the stop-on-convergence window). Armed network faults
-  // legitimately eat into the floor (and NI stalls stretch word latency),
-  // so with `degradations` set those shortfalls degrade instead of fail.
+  // Analytical GT guarantees: over every window, each GT flow must deliver
+  // whatever it admitted, or at least the guaranteed rate of the slot
+  // tables in force during the window, minus a bounded in-flight
+  // allowance. Armed network faults legitimately eat into the floor (and
+  // NI stalls stretch word latency), so with `degradations` set those
+  // shortfalls degrade instead of fail.
   std::vector<std::string>* gt_sink =
       degradations != nullptr ? degradations : problems;
-  auto check_throughput = [&](const char* what, std::size_t group, NiId src,
-                              NiId dst, std::int64_t admitted,
-                              std::int64_t delivered, double guaranteed_wpc,
-                              std::int64_t slack) {
-    CheckGtThroughputFloor(what, group, "in the window", src, dst, admitted,
-                           delivered, guaranteed_wpc, slack, duration,
-                           gt_sink);
-  };
+  for (const Window& window : windows) {
+    const std::string where =
+        window.k < 0 ? "in the window"
+                     : "in phase '" + spec_.phases[window.k].name + "'";
+    for (std::size_t i = 0; i < window.flows.size(); ++i) {
+      const FlowWindow& fw = window.flows[i];
+      if (!fw.floor.armed) continue;
+      const auto guaranteed = static_cast<std::int64_t>(
+          fw.floor.guaranteed_wpc * static_cast<double>(window.cycles));
+      if (fw.words >= std::min(fw.admitted, guaranteed) - fw.floor.slack) {
+        continue;
+      }
+      const FlowView v = ViewOf(i);
+      std::ostringstream oss;
+      oss << "gt-throughput: " << v.what << " g" << v.group << " " << v.src
+          << "->" << v.dst << " delivered " << fw.words << " words " << where
+          << "; floor is min(admitted " << fw.admitted << ", guaranteed "
+          << guaranteed << ") - slack " << fw.floor.slack;
+      gt_sink->push_back(oss.str());
+    }
+  }
 
-  // The end-to-end (Write-to-Read) latency bound is table-derivable only
-  // when the credit loop provably cannot bind: stream credits return as
-  // best-effort packets, so any BE directive in the scenario can delay
-  // them arbitrarily and stretch end-to-end latency without violating any
-  // GT guarantee (the per-flit network timing is checked unconditionally
-  // by the monitor). With only GT directives, every reverse path carries
-  // at most a trickle of credit-only flits, bounded by one table rotation
-  // of jitter.
-  const bool all_gt =
+  // The end-to-end (Write-to-Read) latency bound of static runs is
+  // table-derivable only when the credit loop provably cannot bind: stream
+  // credits return as best-effort packets, so any BE directive in the
+  // scenario can delay them arbitrarily and stretch end-to-end latency
+  // without violating any GT guarantee (the per-flit network timing is
+  // checked unconditionally by the monitor). With only GT directives,
+  // every reverse path carries at most a trickle of credit-only flits,
+  // bounded by one table rotation of jitter.
+  const bool latency_bounded =
+      !spec_.Phased() &&
       std::all_of(spec_.traffic.begin(), spec_.traffic.end(),
                   [](const TrafficSpec& t) { return t.gt; });
-
-  for (std::size_t i = 0; i < stream_flows_.size(); ++i) {
-    const StreamFlow& f = stream_flows_[i];
+  for (const StreamFlow& f : stream_flows_) {
     const TrafficSpec& traffic = spec_.traffic[f.group];
-    if (!traffic.gt) continue;
-    const GtFlowBound hop = BoundOfHop(f.group, f.flow, f.src_connid);
-    const std::int64_t admitted =
-        f.source->words_written() - stream_admitted0[i];
-    const std::int64_t delivered =
-        f.consumer->words_read() - stream_delivered0[i];
-    check_throughput("stream", f.group, f.flow.src, f.flow.dst, admitted,
-                     delivered, hop.bound.min_throughput_wpc,
-                     HopSlackWords(hop.bound, spec_.queue_words));
     // The per-word latency bound applies when each word provably finds an
     // empty source queue and full credit: periodic injection at most once
     // per table rotation, unmodified thresholds, a queue deep enough to
     // ride out the credit round trip, and no BE directive that could
     // starve the credit return (see above).
-    if (all_gt && traffic.inject == InjectKind::kPeriodic &&
-        traffic.period >=
-            static_cast<std::int64_t>(spec_.stu_slots) * kFlitWords &&
-        traffic.data_threshold == 1 && traffic.credit_threshold == 1 &&
-        spec_.queue_words >= 4 && f.consumer->latency().count() > 0) {
-      // One rotation of margin absorbs credit-return and BE-arbitration
-      // jitter among the (all-GT) companion flows.
-      const Cycle bound =
-          hop.bound.worst_case_latency +
-          static_cast<Cycle>(spec_.stu_slots) * kFlitWords;
-      const double measured = f.consumer->latency().Max();
-      if (measured > static_cast<double>(bound)) {
-        std::ostringstream oss;
-        oss << "gt-latency: stream g" << f.group << " " << f.flow.src << "->"
-            << f.flow.dst << " saw a word latency of " << measured
-            << " cycles; the slot tables bound it by " << bound
-            << " (max gap " << hop.bound.max_gap_slots << " slots, "
-            << hop.bound.hops << " hops, one rotation of credit jitter)";
-        gt_sink->push_back(oss.str());
-      }
+    if (!latency_bounded || !traffic.gt ||
+        traffic.inject != InjectKind::kPeriodic ||
+        traffic.period <
+            static_cast<std::int64_t>(spec_.stu_slots) * kFlitWords ||
+        traffic.data_threshold != 1 || traffic.credit_threshold != 1 ||
+        spec_.queue_words < 4 || f.consumer->latency().count() == 0) {
+      continue;
     }
-  }
-
-  for (std::size_t i = 0; i < video_chains_.size(); ++i) {
-    const VideoChain& c = video_chains_[i];
-    const TrafficSpec& traffic = spec_.traffic[c.group];
-    if (!traffic.gt) continue;
-    double guaranteed_wpc = -1;
-    std::int64_t slack = 0;
-    for (std::size_t h = 0; h < c.hop_flows.size(); ++h) {
-      const GtFlowBound hop =
-          BoundOfHop(c.group, c.hop_flows[h], c.hop_src_connids[h]);
-      if (guaranteed_wpc < 0 ||
-          hop.bound.min_throughput_wpc < guaranteed_wpc) {
-        guaranteed_wpc = hop.bound.min_throughput_wpc;
-      }
-      slack += HopSlackWords(hop.bound, spec_.queue_words);
+    // One rotation of margin absorbs credit-return and BE-arbitration
+    // jitter among the (all-GT) companion flows.
+    const GtFlowBound hop = BoundOfHop(f.group, f.flow, f.src_connid);
+    const Cycle bound = hop.bound.worst_case_latency +
+                        static_cast<Cycle>(spec_.stu_slots) * kFlitWords;
+    const double measured = f.consumer->latency().Max();
+    if (measured > static_cast<double>(bound)) {
+      std::ostringstream oss;
+      oss << "gt-latency: stream g" << f.group << " " << f.flow.src << "->"
+          << f.flow.dst << " saw a word latency of " << measured
+          << " cycles; the slot tables bound it by " << bound
+          << " (max gap " << hop.bound.max_gap_slots << " slots, "
+          << hop.bound.hops << " hops, one rotation of credit jitter)";
+      gt_sink->push_back(oss.str());
     }
-    const std::int64_t admitted =
-        c.source->words_written() - video_admitted0[i];
-    const std::int64_t delivered =
-        c.consumer->words_read() - video_delivered0[i];
-    check_throughput("video", c.group, c.chain.front(), c.chain.back(),
-                     admitted, delivered, guaranteed_wpc, slack);
   }
 
   for (const MemoryFlow& m : memory_flows_) {

@@ -49,8 +49,8 @@ struct LatencySummary {
 /// One phase window's slice of a flow's statistics (phased scenarios).
 /// The Stats objects keep their samples in insertion order, so per-phase
 /// percentiles are exact — computed over the [window-start, window-end)
-/// sample range (Stats::RangePercentile); the whole-run summary stays on
-/// the owning FlowResult.
+/// sample range (Stats::SortedRange); the whole-run summary stays on the
+/// owning FlowResult.
 struct PhaseFlowStats {
   int phase = 0;
   std::int64_t words = 0;         // delivered inside the phase window
@@ -188,6 +188,10 @@ struct FaultResult {
 struct ScenarioResult {
   ScenarioSpec spec;
   Cycle cycles_run = 0;
+  /// Cycles actually measured: the sum of the measured windows (the spec's
+  /// TotalDuration() exactly, unless convergence mode moved the stop).
+  /// The throughput denominator; not serialized.
+  Cycle measured_cycles = 0;
   std::vector<FlowResult> flows;
 
   // Phased scenarios only (empty otherwise).
@@ -305,24 +309,78 @@ class ScenarioRunner {
   GtFlowBound BoundOfHop(std::size_t group, const Flow& flow,
                          int src_connid);
 
-  // --- phased execution (spec().Phased()) ----------------------------------
-  Result<ScenarioResult> RunPhased();
+  // --- flows in one fixed order ---------------------------------------------
+  /// A uniform view of flow `i` in flow order: stream flows, then video
+  /// chains, then memory flows (the order of convergence sampling and of
+  /// the verify checks). Delivered/admitted count words; a memory flow
+  /// counts completed/issued transactions times its burst length.
+  struct FlowView {
+    const char* what;  // "stream" / "video" / "memory"
+    std::size_t group;
+    NiId src;
+    NiId dst;
+    std::int64_t delivered;
+    std::int64_t admitted;
+    const Stats* latency;
+  };
+  std::size_t NumFlows() const;
+  FlowView ViewOf(std::size_t i) const;
+
+  // --- the measured window (static and phased) ------------------------------
+  /// GT throughput-floor inputs of one flow over one window, from the slot
+  /// tables in force when the window opened (verify mode).
+  struct GtFloor {
+    bool armed = false;
+    double guaranteed_wpc = 0;
+    std::int64_t slack = 0;
+  };
+  /// One flow's deltas over a measured window.
+  struct FlowWindow {
+    bool active = false;        // the flow's directive is ActiveIn(k)
+    std::int64_t words = 0;     // delivered inside the window
+    std::int64_t admitted = 0;  // admitted inside the window
+    std::size_t first = 0;      // latency sample range [first, last)
+    std::size_t last = 0;
+    double lat_sum = 0;         // sum of that range's samples
+    GtFloor floor;
+  };
+  struct Window {
+    int k = -1;  // phase index; -1 is a static run's single window
+    Cycle start = 0;
+    Cycle cycles = 0;  // measured: the duration, or the converged stop
+    stats_ctl::ConvergenceOutcome conv;  // meaningful under `converge`
+    std::vector<FlowWindow> flows;       // flow order
+  };
+  /// Snapshots every flow active in window `k`, runs the window (for
+  /// `duration` cycles, or until the batch-means CI converges) and returns
+  /// the per-flow deltas.
+  Window MeasureWindow(int k, Cycle duration);
+  /// The floor inputs of stream or video flow `i`: the minimum guaranteed
+  /// rate over its hops, and the sum of their in-flight allowances.
+  GtFloor FloorOf(std::size_t i);
+  /// Builds the FlowResults of the run from its windows.
+  void AssembleFlows(const std::vector<Window>& windows,
+                     ScenarioResult* result) const;
+  /// The verify-mode epilogue: monitor violations, per-window GT floors,
+  /// the static-only latency bound, memory ordering and flit integrity,
+  /// formatted into `problems`. With `degradations` non-null (network
+  /// faults armed), fault-induced violations and GT shortfalls land there
+  /// instead — degraded, not failed.
+  void VerifyRun(const std::vector<Window>& windows,
+                 std::vector<std::string>* problems,
+                 std::vector<std::string>* degradations);
+
+  // --- provisioning ----------------------------------------------------------
+  /// Static runs: warmup (auto-extended under `converge`), then the window.
+  Window RunStatic();
+  /// Phased runs: per phase, drain + reconfigure + activate + settle, then
+  /// the window; fills the result's transitions and phases.
+  Status RunPhases(std::vector<Window>* windows, ScenarioResult* result);
   void SetGroupActive(std::size_t group, bool active, Cycle now);
   bool GroupDrained(std::size_t group) const;
   /// Groups whose connections are torn down when leaving `phase` (its own
   /// non-persistent directives).
   std::vector<std::size_t> ClosingGroupsOf(int phase) const;
-  /// The verify-mode epilogue: monitor violations plus the analytical
-  /// throughput/latency checks, formatted into `problems`. With
-  /// `degradations` non-null (network faults armed), fault-induced
-  /// violations and GT-floor shortfalls land there instead — degraded, not
-  /// failed.
-  void CheckGuarantees(const std::vector<std::int64_t>& stream_admitted0,
-                       const std::vector<std::int64_t>& video_admitted0,
-                       const std::vector<std::int64_t>& stream_delivered0,
-                       const std::vector<std::int64_t>& video_delivered0,
-                       Cycle duration, std::vector<std::string>* problems,
-                       std::vector<std::string>* degradations);
   /// Fills result->fault from the injector / manager / monitor ledgers
   /// (no-op unless the spec's fault block is Enabled()).
   void FillFaultResult(std::vector<std::string> degradations,

@@ -120,14 +120,7 @@ void WriteClass(JsonWriter& w, const ClassSummary& s) {
 }  // namespace
 
 void SummarizePoint(const ScenarioResult& result, PointResult* point) {
-  // Cycles actually measured: the stop-on-convergence window when the run
-  // converged early (or hit its cap), otherwise the spec's TotalDuration()
-  // (phased scenarios measure the sum of their phase windows; spec.duration
-  // is not meaningful there).
-  const Cycle measured = result.convergence.has_value()
-                             ? result.convergence->measured_cycles
-                             : result.spec.TotalDuration();
-  point->duration = measured;
+  point->duration = result.measured_cycles;
   point->convergence = result.convergence;
   point->words_in_window = result.words_in_window;
   point->throughput_wpc = result.throughput_wpc;
@@ -147,9 +140,9 @@ void SummarizePoint(const ScenarioResult& result, PointResult* point) {
     AddFlow(flow.gt ? &point->gt : &point->be,
             flow.gt ? &gt_samples : &be_samples, flow, offered);
   }
-  FinishClass(&point->all, &all_samples, measured);
-  FinishClass(&point->gt, &gt_samples, measured);
-  FinishClass(&point->be, &be_samples, measured);
+  FinishClass(&point->all, &all_samples, result.measured_cycles);
+  FinishClass(&point->gt, &gt_samples, result.measured_cycles);
+  FinishClass(&point->be, &be_samples, result.measured_cycles);
 }
 
 SweepRunner::SweepRunner(SweepSpec spec) : spec_(std::move(spec)) {}

@@ -66,9 +66,4 @@ std::vector<double> Stats::SortedRange(std::size_t first,
   return window;
 }
 
-double Stats::RangePercentile(std::size_t first, std::size_t last,
-                              double p) const {
-  return SortedPercentile(SortedRange(first, last), p);
-}
-
 }  // namespace aethereal

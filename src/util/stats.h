@@ -33,15 +33,9 @@ class Stats {
   double Percentile(double p) const;
   double Sum() const { return sum_; }
 
-  /// Exact nearest-rank percentile over the insertion-order sample range
-  /// [first, last) — the samples recorded between two count() snapshots.
-  /// Sorts a fresh copy of the window on every call: when several
-  /// percentiles of ONE window are needed, take SortedRange() once and
-  /// query SortedPercentile on it instead.
-  double RangePercentile(std::size_t first, std::size_t last, double p) const;
-
-  /// Sorted copy of the insertion-order sample range [first, last) — one
-  /// O(n log n) sort serving any number of SortedPercentile queries.
+  /// Sorted copy of the insertion-order sample range [first, last) — the
+  /// samples recorded between two count() snapshots; one O(n log n) sort
+  /// serving any number of SortedPercentile queries.
   std::vector<double> SortedRange(std::size_t first, std::size_t last) const;
 
   /// Samples in insertion order (for histogram bucketing / merging).

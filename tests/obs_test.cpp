@@ -350,7 +350,7 @@ TEST(ObsOnTest, PhasedTraceRecordsConfigAndPhaseEvents) {
 
 // --- the shared percentile formula ----------------------------------------
 
-TEST(StatsPercentileTest, RangePercentileMatchesSortedSubrange) {
+TEST(StatsPercentileTest, SortedRangePercentilesSeeOnlyTheirWindow) {
   Stats stats;
   // Two "phases": 50 samples descending, then 30 ascending — insertion
   // order deliberately unsorted.
@@ -362,14 +362,15 @@ TEST(StatsPercentileTest, RangePercentileMatchesSortedSubrange) {
   std::sort(all.begin(), all.end());
   EXPECT_EQ(stats.Percentile(95.0), SortedPercentile(all, 95.0));
 
-  // Range percentiles see ONLY their window's samples.
-  EXPECT_EQ(stats.RangePercentile(0, 50, 100.0), 50.0);
-  EXPECT_EQ(stats.RangePercentile(50, 80, 0.0), 101.0);
+  // Percentiles of a sorted range see ONLY their window's samples.
+  EXPECT_EQ(SortedPercentile(stats.SortedRange(0, 50), 100.0), 50.0);
+  const std::vector<double> window = stats.SortedRange(50, 80);
+  EXPECT_EQ(SortedPercentile(window, 0.0), 101.0);
   std::vector<double> second(stats.samples().begin() + 50,
                              stats.samples().end());
   std::sort(second.begin(), second.end());
-  EXPECT_EQ(stats.RangePercentile(50, 80, 99.0),
-            SortedPercentile(second, 99.0));
+  EXPECT_EQ(window, second);
+  EXPECT_EQ(SortedPercentile(window, 99.0), SortedPercentile(second, 99.0));
 
   // Percentile() must not disturb insertion order (the cached sorted copy
   // is separate storage).

@@ -78,6 +78,20 @@ TEST(ScenarioGoldenTest, EveryCanonicalScenarioMatchesItsGolden) {
     EXPECT_EQ(actual, golden)
         << "result drifted from " << golden_path
         << " — if the change is intentional, run ./scripts/regen_goldens.sh";
+
+    // The same scenario with the guarantee checkers armed must pass them.
+    // The monitor only observes, so the document cannot change — except
+    // that an enabled fault block gains its monitor fields.
+    ScenarioSpec verified = *spec;
+    verified.verify = true;
+    ScenarioRunner verified_runner(verified);
+    auto verified_result = verified_runner.Run();
+    ASSERT_TRUE(verified_result.ok()) << verified_result.status();
+    const bool faulted = spec->fault.has_value() && spec->fault->Enabled();
+    if (!faulted || spec->verify) {
+      EXPECT_EQ(verified_result->ToJson(), golden)
+          << "verify on changed the result of " << path.filename();
+    }
   }
 }
 

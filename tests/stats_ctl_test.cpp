@@ -279,6 +279,7 @@ TEST(ConvergeRun, StopsEarlyAndCoversFixedMean) {
   ASSERT_TRUE(conv.convergence.has_value());
   EXPECT_TRUE(conv.convergence->converged);
   EXPECT_LT(conv.convergence->measured_cycles, spec->duration);
+  EXPECT_EQ(conv.measured_cycles, conv.convergence->measured_cycles);
   EXPECT_GE(conv.convergence->warmup_cycles, spec->warmup);
   ASSERT_TRUE(conv.convergence->ci.valid);
   EXPECT_LE(conv.convergence->ci.rel_err, 0.05);
@@ -293,6 +294,7 @@ TEST(ConvergeRun, StopsEarlyAndCoversFixedMean) {
   ASSERT_TRUE(fixed_spec.ok());
   const ScenarioResult fixed = MustRun(*fixed_spec);
   EXPECT_FALSE(fixed.convergence.has_value());
+  EXPECT_EQ(fixed.measured_cycles, fixed_spec->duration);
   double sum = 0;
   std::int64_t count = 0;
   for (const auto& flow : fixed.flows) {
@@ -333,15 +335,22 @@ TEST(ConvergeRun, DeterministicAcrossEngines) {
 
 TEST(ConvergeRun, MaxDurationCapsAnUnconvergedRun) {
   // An impossible target: the run must stop at the cap, unconverged, and
-  // still report the CI it reached.
-  auto spec = ParseScenario(std::string(kBase) +
-                            "converge rel_err 0.001 max_duration 1200 "
-                            "interval 400\n");
-  ASSERT_TRUE(spec.ok()) << spec.status();
-  const ScenarioResult result = MustRun(*spec);
-  ASSERT_TRUE(result.convergence.has_value());
-  EXPECT_FALSE(result.convergence->converged);
-  EXPECT_EQ(result.convergence->measured_cycles, 1200);
+  // still report the CI it reached. The cap bounds the auto-warmup
+  // extension too — also when the quarter-interval settle step does not
+  // divide it (interval 1000: steps of 250 against a 1200-cycle cap).
+  for (const char* interval : {"400", "1000"}) {
+    SCOPED_TRACE(interval);
+    auto spec = ParseScenario(std::string(kBase) +
+                              "converge rel_err 0.001 max_duration 1200 "
+                              "interval " + interval + "\n");
+    ASSERT_TRUE(spec.ok()) << spec.status();
+    const ScenarioResult result = MustRun(*spec);
+    ASSERT_TRUE(result.convergence.has_value());
+    EXPECT_FALSE(result.convergence->converged);
+    EXPECT_EQ(result.convergence->measured_cycles, 1200);
+    EXPECT_EQ(result.measured_cycles, 1200);
+    EXPECT_LE(result.convergence->warmup_cycles - spec->warmup, 1200);
+  }
 }
 
 TEST(ConvergeRun, PhasedWindowsConvergeIndependently) {
@@ -370,9 +379,17 @@ traffic neighbor inject bernoulli 0.08
     total += phase.duration;
   }
   EXPECT_EQ(result.convergence->measured_cycles, total);
+  EXPECT_EQ(result.measured_cycles, total);
   EXPECT_EQ(result.convergence->converged,
             result.phases[0].convergence->converged &&
                 result.phases[1].convergence->converged);
+
+  // Fixed-duration phased runs measure exactly the declared windows.
+  ScenarioSpec fixed_spec = *spec;
+  fixed_spec.converge = stats_ctl::ConvergeSpec{};
+  const ScenarioResult fixed = MustRun(fixed_spec);
+  EXPECT_FALSE(fixed.convergence.has_value());
+  EXPECT_EQ(fixed.measured_cycles, fixed_spec.TotalDuration());
 }
 
 }  // namespace

@@ -150,15 +150,18 @@ TEST(Stats, StdDevUsesSampleVariance) {
   EXPECT_DOUBLE_EQ(s.StdDev(), std::sqrt(2.0));
 }
 
-TEST(Stats, SortedRangeMatchesRangePercentile) {
+TEST(Stats, SortedRangePercentilesSeeOnlyTheRange) {
   Stats s;
   for (double v : {5.0, 1.0, 9.0, 3.0, 7.0, 2.0, 8.0}) s.Add(v);
   const auto sorted = s.SortedRange(2, 7);  // {9,3,7,2,8} sorted
-  ASSERT_EQ(sorted.size(), 5u);
-  EXPECT_TRUE(std::is_sorted(sorted.begin(), sorted.end()));
-  for (double p : {0.0, 50.0, 95.0, 99.0, 100.0}) {
-    EXPECT_DOUBLE_EQ(SortedPercentile(sorted, p), s.RangePercentile(2, 7, p));
-  }
+  EXPECT_EQ(sorted, (std::vector<double>{2.0, 3.0, 7.0, 8.0, 9.0}));
+  // Nearest rank over the five range samples only: the whole population's
+  // extremes (1 and 9 at indices 1 and 2) must not leak in below index 2.
+  EXPECT_DOUBLE_EQ(SortedPercentile(sorted, 0.0), 2.0);
+  EXPECT_DOUBLE_EQ(SortedPercentile(sorted, 50.0), 7.0);
+  EXPECT_DOUBLE_EQ(SortedPercentile(sorted, 95.0), 9.0);
+  EXPECT_DOUBLE_EQ(SortedPercentile(sorted, 99.0), 9.0);
+  EXPECT_DOUBLE_EQ(SortedPercentile(sorted, 100.0), 9.0);
 }
 
 TEST(Stats, Percentile) {

@@ -211,7 +211,7 @@ void PrintSummary(const scenario::ScenarioResult& result,
   }
   table.Print(std::cout);
   std::cout << "aggregate: " << result.words_in_window << " words in "
-            << result.spec.TotalDuration() << " measured cycles ("
+            << result.measured_cycles << " measured cycles ("
             << Table::Fmt(result.throughput_wpc, 3)
             << " w/cyc), slot utilization "
             << Table::Fmt(100.0 * result.slot_utilization, 1) << "%\n";
