@@ -1,31 +1,34 @@
-// Registered slot-granular wires: the physical signals between NoC
-// components.
+// Slot-granular wires: the physical signals between NoC components.
 //
 // The Æthereal link transports one 32-bit word per cycle; a 3-word flit
 // therefore occupies one TDM slot (3 word-clock cycles at 500 MHz). This
 // model transfers values atomically at slot granularity: a producer drives
 // at most one value per slot (during the slot-boundary cycle's Evaluate
-// phase); the value becomes visible to the consumer at the next slot
-// boundary and is held for that whole slot. Per-hop latency is thus exactly
-// one slot, as in the pipelined TDM circuits of the paper.
+// phase); the value is visible to the consumer for the whole next slot and
+// the wire is idle again after that. Per-hop latency is thus exactly one
+// slot, as in the pipelined TDM circuits of the paper.
 //
 // Two instantiations are used:
 //  * FlitWire  — the forward data signal (idle flit when undriven);
 //  * CreditWire — the backward link-level credit-return pulse used by the
 //    best-effort input buffers (0 when undriven).
 //
-// Gating integration (DESIGN.md §7): a wire arms itself on Drive() and
-// stays armed until one slot boundary after it has gone idle, so an
-// undriven wire costs nothing per edge. Drive() also wakes the consumer
-// module registered with SetConsumer(), guaranteeing a parked consumer is
-// running again by the slot boundary at which the value becomes visible.
+// Wires need no commit (DESIGN.md §7.2): each keeps two latches indexed by
+// slot parity, stamped with the slot that drove them. A drive in slot s
+// writes latch s & 1; a sample in slot s reads latch (s - 1) & 1 and sees
+// idle unless its stamp is s - 1. Producer and consumer touch different
+// latches within a slot, so evaluation order cannot leak a value early,
+// and an undriven wire reverts to idle by its stale stamp alone. Drive()
+// also wakes the consumer module registered with SetConsumer(), so a
+// parked consumer is running again by the slot in which the value is
+// visible.
 #ifndef AETHEREAL_LINK_WIRE_H
 #define AETHEREAL_LINK_WIRE_H
 
+#include <array>
 #include <cstdint>
-#include <string>
+#include <limits>
 #include <type_traits>
-#include <utility>
 
 #include "link/flit.h"
 #include "sim/kernel.h"
@@ -45,21 +48,24 @@ class FlitTap {
 };
 
 template <typename T>
-class SlotWire : public sim::TwoPhase {
+class SlotWire {
  public:
-  SlotWire() = default;
-  explicit SlotWire(T idle) : idle_(idle), current_(idle), next_(idle) {}
+  /// `clock` defines the slot grid (the network clock of both ends).
+  explicit SlotWire(const sim::Clock* clock) : clock_(clock) {
+    AETHEREAL_CHECK(clock != nullptr);
+  }
 
   /// Declares the module that samples this wire; every Drive() wakes it so
   /// a parked consumer never misses a slot transfer.
   void SetConsumer(sim::Module* consumer) { consumer_ = consumer; }
 
-  /// Optional pending mask: when the wire latches a driven (non-idle) value
-  /// at a slot boundary, `*mask |= 1 << bit`. Lets a consumer with many
-  /// input wires poll one word instead of sampling every port; the consumer
-  /// owns the mask and clears bits as it drains them.
-  void SetConsumerBit(std::uint32_t* mask, int bit) {
-    consumer_mask_ = mask;
+  /// Optional pending masks, one word per slot parity: a drive in slot s
+  /// sets `bit` in `(*masks)[(s + 1) & 1]`, the word the consumer polls in
+  /// slot s + 1 when the value is visible. Lets a consumer with many input
+  /// wires poll one word instead of sampling every port; the consumer owns
+  /// the masks and clears a word as it drains it.
+  void SetConsumerBit(std::array<std::uint32_t, 2>* masks, int bit) {
+    consumer_masks_ = masks;
     consumer_mask_bit_ = std::uint32_t{1} << bit;
   }
 
@@ -75,72 +81,49 @@ class SlotWire : public sim::TwoPhase {
   /// Producer: drive the wire for the current slot (call during Evaluate of
   /// a slot-boundary cycle, at most once per slot).
   void Drive(const T& value) {
-    AETHEREAL_CHECK_MSG(!driven_, "wire driven twice in one slot");
+    const Cycle slot = CurrentSlot();
+    Latch& latch = latches_[static_cast<std::size_t>(slot & 1)];
+    AETHEREAL_CHECK_MSG(latch.slot != slot, "wire driven twice in one slot");
+    // This latch was last visible in slot - 1, so overwriting it before
+    // the tap decides cannot disturb a reader.
+    latch.value = value;
     if constexpr (std::is_same_v<T, Flit>) {
-      if (tap_ != nullptr) {
-        T tapped = value;
-        const sim::Module* m = owner();
-        const Cycle now =
-            (m != nullptr && m->clock() != nullptr) ? m->CycleCount() : phase_;
-        if (!tap_->OnDrive(tap_site_, now, &tapped)) return;  // dropped
-        next_ = tapped;
-        driven_ = true;
-        MarkDirty();
-        if (consumer_ != nullptr) consumer_->Wake(kFlitWords);
-        return;
+      if (tap_ != nullptr &&
+          !tap_->OnDrive(tap_site_, clock_->cycles(), &latch.value)) {
+        return;  // dropped: the stale stamp keeps next slot idle
       }
     }
-    next_ = value;
-    driven_ = true;
-    MarkDirty();
+    latch.slot = slot;
+    if (consumer_masks_ != nullptr) {
+      (*consumer_masks_)[static_cast<std::size_t>((slot + 1) & 1)] |=
+          consumer_mask_bit_;
+    }
     if (consumer_ != nullptr) consumer_->Wake(kFlitWords);
   }
 
-  /// Consumer: the value latched at the last slot boundary.
-  const T& Sample() const { return current_; }
-
-  /// Commits once per word-clock edge while armed; the latch transfers at
-  /// slot boundaries (every kFlitWords edges).
-  void Commit() override {
-    const bool boundary = AtSlotEnd();
-    ++phase_;
-    if (boundary) {
-      current_ = driven_ ? next_ : idle_;
-      holding_ = driven_;
-      if (driven_ && consumer_mask_ != nullptr) {
-        *consumer_mask_ |= consumer_mask_bit_;
-      }
-      driven_ = false;
-    }
-    // Stay armed until the boundary at which the wire reverts to idle: a
-    // pending drive needs its transfer, a held value needs its revert.
-    if (driven_ || holding_ || !boundary) MarkDirty();
+  /// Consumer: the value driven in the previous slot, or idle.
+  const T& Sample() const {
+    const Cycle prev = CurrentSlot() - 1;
+    const Latch& latch = latches_[static_cast<std::size_t>(prev & 1)];
+    return latch.slot == prev ? latch.value : kIdle;
   }
 
  private:
-  bool AtSlotEnd() const {
-    // The slot grid is defined by the owning module's clock so that skipped
-    // commits (while the wire is idle and disarmed) cannot drift the phase.
-    // A standalone wire (unit tests) falls back to counting its own
-    // commits, which in that setting happen every edge.
-    const sim::Module* m = owner();
-    const Cycle edge = (m != nullptr && m->clock() != nullptr)
-                           ? m->CycleCount()
-                           : phase_;
-    return edge % kFlitWords == kFlitWords - 1;
-  }
+  struct Latch {
+    T value{};
+    Cycle slot = std::numeric_limits<Cycle>::min();  // never driven
+  };
+  static inline const T kIdle{};
 
-  T idle_{};
-  T current_{};
-  T next_{};
-  bool driven_ = false;
-  bool holding_ = false;  // current_ carries a driven value to revert
+  Cycle CurrentSlot() const { return clock_->cycles() / kFlitWords; }
+
+  std::array<Latch, 2> latches_{};
+  const sim::Clock* clock_;
   sim::Module* consumer_ = nullptr;
-  std::uint32_t* consumer_mask_ = nullptr;  // see SetConsumerBit
+  std::array<std::uint32_t, 2>* consumer_masks_ = nullptr;  // SetConsumerBit
   std::uint32_t consumer_mask_bit_ = 0;
   FlitTap* tap_ = nullptr;
   int tap_site_ = -1;
-  Cycle phase_ = 0;
 };
 
 using FlitWire = SlotWire<Flit>;
@@ -150,74 +133,28 @@ using CreditWire = SlotWire<int>;
 /// credits (used only by best-effort buffering; guaranteed-throughput flits
 /// are contention-free by construction and never buffered in routers).
 struct LinkWires {
+  explicit LinkWires(const sim::Clock* clock)
+      : data(clock), credit_return(clock) {}
   FlitWire data;
   CreditWire credit_return;
 };
 
-/// A directed link as a simulation module: owns and commits its wires on
-/// the network clock. Producers call data.Drive(); consumers call
-/// credit_return.Drive(). A link is pure commit machinery: it is never
-/// evaluated on the gated path, and once both wires have disarmed its
-/// per-edge cost is two flag checks.
-class DirectedLink : public sim::Module {
+/// Flat storage for the wire bundles of every link of a NoC (DESIGN.md
+/// §7.3): a contiguous slab on the network clock. It is not a module —
+/// wires need no commit — so links cost nothing per edge. The slab has a
+/// fixed capacity so LinkWires addresses stay stable: producers and
+/// consumers keep raw pointers to them.
+class WirePool {
  public:
-  explicit DirectedLink(std::string name) : sim::Module(std::move(name)) {
-    RegisterState(&wires_.data);
-    RegisterState(&wires_.credit_return);
-    SetEvaluateIsNoop();
-    SetDefaultCommitOnly();
-    // Wires latch only at the end-of-slot edge; commits on the two other
-    // word-clock edges of a slot are no-ops and are skipped.
-    SetCommitStride(kFlitWords, kFlitWords - 1);
-  }
+  WirePool(const sim::Clock* clock, int capacity)
+      : clock_(clock), links_(static_cast<std::size_t>(capacity)) {}
 
-  void Evaluate() override {}
-
-  LinkWires& wires() { return wires_; }
+  /// Constructs the next link's wire bundle in the slab. The returned
+  /// address is stable for the pool's lifetime.
+  LinkWires* AddLink() { return links_.Emplace(clock_); }
 
  private:
-  LinkWires wires_;
-};
-
-/// Flattened link storage (DESIGN.md §7): ONE module owning the wire
-/// bundles of every link of a NoC in a contiguous slab, replacing the
-/// per-link DirectedLink modules. Behaviour per wire is identical — the
-/// wires are the same SlotWire objects, committed by the same dirty-list
-/// protocol — but the commit sweep now walks consecutive memory, the
-/// kernel dispatches ONE virtual Commit() per slot for all driven links
-/// instead of one per link, and the per-clock module count (which every
-/// evaluate/commit scan is proportional to) drops by the link count.
-///
-/// The slab has a fixed capacity so LinkWires addresses stay stable: the
-/// wires register themselves as TwoPhase state and producers/consumers keep
-/// raw pointers to them.
-class WirePool : public sim::Module {
- public:
-  WirePool(std::string name, int capacity)
-      : sim::Module(std::move(name)),
-        links_(static_cast<std::size_t>(capacity)) {
-    SetEvaluateIsNoop();      // pure commit machinery, like DirectedLink
-    SetDefaultCommitOnly();
-    // Wires latch only at the end-of-slot edge; commits on the two other
-    // word-clock edges of a slot are no-ops and are skipped.
-    SetCommitStride(kFlitWords, kFlitWords - 1);
-  }
-
-  /// Constructs the next link's wire bundle in the slab and registers its
-  /// wires for commit. The returned address is stable for the pool's
-  /// lifetime.
-  LinkWires* AddLink() {
-    LinkWires* wires = links_.Emplace();
-    RegisterState(&wires->data);
-    RegisterState(&wires->credit_return);
-    return wires;
-  }
-
-  int NumLinks() const { return static_cast<int>(links_.size()); }
-
-  void Evaluate() override {}
-
- private:
+  const sim::Clock* clock_;
   sim::Slab<LinkWires> links_;
 };
 

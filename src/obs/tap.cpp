@@ -61,7 +61,7 @@ void ObsTap::Evaluate() {
     }
   }
 
-  // --- links: one committed flit (or idle) + one credit pulse per slot.
+  // --- links: the flit driven last slot (or idle) + one credit pulse.
   std::vector<LinkCounters>& counters = hub_->link_counters();
   for (std::size_t i = 0; i < hookup_.links.size(); ++i) {
     const link::LinkWires* wires = hookup_.links[i];

@@ -2,8 +2,9 @@
 //
 // The tap follows the verify monitor's observation contract exactly: it
 // is registered on the network clock BEFORE any NoC hardware, samples
-// only committed state (link wires via Sample(), CDC queue fills via
-// their committed reader sizes), registers no TwoPhase state, and never
+// only settled state (link wires via Sample(), which returns the value
+// driven last slot; CDC queue fills via their committed reader sizes),
+// registers no TwoPhase state, and never
 // stages anything — so arming it cannot perturb the simulation, and the
 // counts it accumulates are identical on the naive and gated engines (the
 // committed-state trajectory is the engines' byte-identity invariant).

@@ -21,6 +21,7 @@
 #ifndef AETHEREAL_ROUTER_ROUTER_H
 #define AETHEREAL_ROUTER_ROUTER_H
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -93,13 +94,12 @@ class Router : public sim::Module {
   };
 
   bool IsSlotBoundary() const { return CycleCount() % kFlitWords == 0; }
-  /// Returns true if any input carried a flit this slot.
-  bool AcceptInputs(std::vector<link::Flit>& gt_out, bool frozen);
-  void ForwardGt(int input, const link::Flit& flit, int target,
-                 std::vector<link::Flit>& gt_out);
+  /// Accepts the flits on the input ports flagged in `pending` (and clears
+  /// it). Returns true if any input carried a flit this slot.
+  bool AcceptInputs(std::uint32_t& pending, bool frozen);
+  void ForwardGt(int input, const link::Flit& flit, int target);
   void BufferBe(int input, const link::Flit& flit, int target);
-  void ArbitrateBestEffort(const std::vector<link::Flit>& gt_out,
-                           bool frozen);
+  void ArbitrateBestEffort(bool frozen);
 
   RouterId id_;
   RouterConfig config_;
@@ -122,26 +122,34 @@ class Router : public sim::Module {
     int rr_pointer = 0;               // round-robin arbitration state
   };
 
+  /// The output input `i` requests this slot: the target of its visible
+  /// head when that is a header and the input is not draining a packet,
+  /// else kInvalidId.
+  int RequestOf(int i) const;
+  /// Pops input `i`'s visible head and drives it on `out`.
+  BufferedBeFlit GrantBe(int i, OutputState& out);
+  /// No BE flit is buffered (committed, or pushed this slot) and no
+  /// wormhole is open, so arbitration, credit returns and the buffered-work
+  /// check are no-ops this slot. Exact until the slot's first pop.
+  bool BeIdle() const {
+    return (be_committed_ | be_staged_ | owned_outputs_) == 0;
+  }
+
   std::vector<InputState> inputs_;
   std::vector<OutputState> outputs_;
-  // Per-slot GT crossbar scratch, preallocated so Evaluate() never touches
-  // the heap (it used to build a fresh std::vector<Flit> every slot).
-  // gt_out_ports_ lists the scratch entries holding a flit this slot, so
-  // clearing and driving walk only the occupied ports (at most one per
-  // input) instead of all of them.
-  std::vector<link::Flit> gt_out_scratch_;
-  std::vector<int> gt_out_ports_;
-  // Activity summaries for the slot fast path: total BE flits resident in
-  // the input buffers (staged or committed) and open BE wormholes. When
-  // both are zero and no flit arrived, the whole BE pipeline — arbitration,
-  // credit returns, buffered-work check — is provably a no-op this slot.
-  int be_flits_buffered_ = 0;
-  int open_wormholes_ = 0;
-  // Wire pending masks (bit = port), set by SlotWire when it latches a
-  // driven value (link/wire.h SetConsumerBit): the slot sweep polls two
-  // words instead of sampling every connected port's wires.
-  std::uint32_t inputs_pending_ = 0;   // data arrived on input port
-  std::uint32_t credits_pending_ = 0;  // credits returned on output port
+  std::uint32_t gt_outputs_ = 0;  // outputs GT drove this slot
+  // BE activity masks: input queues with pushes/pops awaiting Commit()
+  // (the router commits them itself when the next slot starts), input
+  // queues holding committed flits, and outputs owned by open wormholes.
+  std::uint32_t be_staged_ = 0;
+  std::uint32_t be_committed_ = 0;
+  std::uint32_t owned_outputs_ = 0;
+  // Wire pending masks (bit = port), one word per slot parity: a drive in
+  // slot s sets its port's bit in word (s + 1) & 1 (link/wire.h
+  // SetConsumerBit), so the slot sweep polls one word of each instead of
+  // sampling every connected port's wires.
+  std::array<std::uint32_t, 2> inputs_pending_{};   // data on input port
+  std::array<std::uint32_t, 2> credits_pending_{};  // credits on output port
   RouterStats stats_;
   fault::FaultInjector* fault_ = nullptr;
 };

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "core/registers.h"
+#include "topology/builders.h"
 
 namespace aethereal::scenario {
 
@@ -50,6 +51,15 @@ int ScenarioSpec::NumNis() const {
     case TopologyKind::kStar: return dim_a;
     case TopologyKind::kMesh: return dim_a * dim_b * nis_per_router;
     case TopologyKind::kRing: return dim_a * nis_per_router;
+  }
+  return 0;
+}
+
+int ScenarioSpec::RouterPorts() const {
+  switch (topology) {
+    case TopologyKind::kStar: return dim_a;
+    case TopologyKind::kMesh: return topology::kMeshLocalBase + nis_per_router;
+    case TopologyKind::kRing: return topology::kRingLocalBase + nis_per_router;
   }
   return 0;
 }
@@ -453,6 +463,12 @@ Result<ScenarioSpec> ParseScenario(const std::string& text) {
       } else {
         return ParseError(line.number,
                           "unknown topology '" + line.tokens[1] + "'");
+      }
+      if (spec.RouterPorts() > kMaxRouterPorts) {
+        return ParseError(line.number,
+                          "router radix " + std::to_string(spec.RouterPorts()) +
+                              " exceeds " + std::to_string(kMaxRouterPorts) +
+                              " ports");
       }
       have_noc = true;
     } else if (kind == "stu") {

@@ -266,6 +266,10 @@ struct ScenarioSpec {
 
   int NumNis() const;
 
+  /// Ports of the largest router the topology builds (topology/builders.h
+  /// port conventions).
+  int RouterPorts() const;
+
   /// Configuration channels provisioned at NI `ni` BEFORE any flow
   /// channel (config connections at the Cfg NI, the CNIP channel at
   /// connid 0 everywhere else); zero for non-phased specs. The single

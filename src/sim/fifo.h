@@ -25,73 +25,64 @@ namespace aethereal::sim {
 template <typename T>
 class Fifo : public TwoPhase {
  public:
-  explicit Fifo(int capacity)
-      : capacity_(capacity), committed_(capacity), staged_pushes_(capacity) {
+  // The one ring holds the committed entries followed by this edge's staged
+  // pushes: at most `capacity` committed plus at most `capacity` pushed.
+  explicit Fifo(int capacity) : capacity_(capacity), entries_(2 * capacity) {
     AETHEREAL_CHECK(capacity > 0);
   }
 
   int capacity() const { return capacity_; }
 
   /// Committed occupancy (what a reader sees this cycle).
-  int Size() const { return committed_.size(); }
+  int Size() const { return committed_; }
 
   /// Occupancy after this edge's staged pushes/pops commit.
-  int SizeAfterCommit() const {
-    return Size() - staged_pops_ + staged_pushes_.size();
-  }
+  int SizeAfterCommit() const { return entries_.size() - staged_pops_; }
 
-  bool Empty() const { return committed_.empty(); }
+  bool Empty() const { return committed_ == 0; }
   bool Full() const { return SizeAfterCommit() >= capacity_; }
 
   /// True if a push staged now will fit after commit.
   bool CanPush() const { return SizeAfterCommit() < capacity_; }
 
   /// True if another pop can be staged this cycle (data present).
-  bool CanPop() const { return staged_pops_ < Size(); }
+  bool CanPop() const { return staged_pops_ < committed_; }
 
   /// Peek the element `offset` places behind the head, accounting for pops
   /// already staged this cycle.
   const T& Peek(int offset = 0) const {
     const int index = staged_pops_ + offset;
-    AETHEREAL_CHECK_MSG(index < Size(), "Fifo::Peek past committed contents");
-    return committed_[index];
+    AETHEREAL_CHECK_MSG(index < committed_,
+                        "Fifo::Peek past committed contents");
+    return entries_[index];
   }
 
   /// Stage a push; takes effect at Commit().
   void Push(T value) {
     AETHEREAL_CHECK_MSG(CanPush(), "Fifo overflow (capacity " << capacity_ << ")");
-    staged_pushes_.push_back(std::move(value));
+    entries_.push_back(std::move(value));
     MarkDirty();
   }
 
   /// Stage a pop and return the popped value.
   T Pop() {
     AETHEREAL_CHECK_MSG(CanPop(), "Fifo underflow");
-    T value = committed_[staged_pops_];
+    T value = entries_[staged_pops_];
     ++staged_pops_;
     MarkDirty();
     return value;
   }
 
   void Commit() override {
-    for (int i = 0; i < staged_pops_; ++i) committed_.pop_front();
+    entries_.drop_front(staged_pops_);
     staged_pops_ = 0;
-    while (!staged_pushes_.empty()) {
-      committed_.push_back(staged_pushes_.pop_front());
-    }
-  }
-
-  /// Drops all contents immediately (reset; not a hardware path).
-  void Reset() {
-    committed_.clear();
-    staged_pushes_.clear();
-    staged_pops_ = 0;
+    committed_ = entries_.size();
   }
 
  private:
   int capacity_;
-  Ring<T> committed_;
-  Ring<T> staged_pushes_;
+  Ring<T> entries_;     // committed entries, then staged pushes
+  int committed_ = 0;   // entries visible to readers
   int staged_pops_ = 0;
 };
 

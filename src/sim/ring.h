@@ -53,6 +53,13 @@ class Ring {
     return value;
   }
 
+  /// Drops the `n` oldest elements without moving any.
+  void drop_front(int n) {
+    AETHEREAL_CHECK_MSG(n >= 0 && n <= count_, "Ring underflow");
+    head_ = static_cast<int>(Slot(n));
+    count_ -= n;
+  }
+
   void clear() {
     head_ = 0;
     count_ = 0;

@@ -80,17 +80,16 @@ Soc::Soc(topology::Topology topology,
   }
   std::vector<const link::LinkWires*> obs_links;
 
-  // All link wires live in one contiguous pool (one module instead of one
-  // per link); size it exactly: two NI links per NI plus every directed
-  // router-to-router link.
+  // All link wires live in one contiguous pool on the network clock; size
+  // it exactly: two NI links per NI plus every directed router-to-router
+  // link.
   int num_links = 2 * topology_.NumNis();
   for (RouterId r = 0; r < topology_.NumRouters(); ++r) {
     for (int p = 0; p < topology_.RouterPorts(r); ++p) {
       if (topology_.PortPeer(r, p).kind == EndpointKind::kRouter) ++num_links;
     }
   }
-  links_ = std::make_unique<link::WirePool>("links", num_links);
-  net_clock_->Register(links_.get());
+  links_ = std::make_unique<link::WirePool>(net_clock_, num_links);
 
   // Routers.
   routers_.Reset(static_cast<std::size_t>(topology_.NumRouters()));

@@ -161,6 +161,12 @@ Status ApplyNoc(const std::string& value, ScenarioSpec* spec) {
         "noc value must be starN, meshRxCxN, or ringRxN, got '" + value +
         "'");
   }
+  if (spec->RouterPorts() > kMaxRouterPorts) {
+    return InvalidArgumentError(
+        "noc '" + value + "': router radix " +
+        std::to_string(spec->RouterPorts()) + " exceeds " +
+        std::to_string(kMaxRouterPorts) + " ports");
+  }
   if (spec->Phased() && spec->cfg_ni >= spec->NumNis()) {
     return InvalidArgumentError("noc '" + value + "': cfgni " +
                                 std::to_string(spec->cfg_ni) +

@@ -80,7 +80,7 @@ Ring BuildRing(int num_routers, int nis_per_router) {
   AETHEREAL_CHECK(num_routers >= 2 && nis_per_router >= 0);
   Ring ring;
   ring.nis_per_router = nis_per_router;
-  const int ports = 2 + nis_per_router;
+  const int ports = kRingLocalBase + nis_per_router;
   for (int i = 0; i < num_routers; ++i) {
     ring.routers.push_back(ring.topology.AddRouter(ports));
   }

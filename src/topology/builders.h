@@ -16,6 +16,9 @@ inline constexpr int kMeshSouth = 2;
 inline constexpr int kMeshWest = 3;
 inline constexpr int kMeshLocalBase = 4;
 
+/// Ring router port convention (ports 0..1 = neighbours, 2+ = local NIs).
+inline constexpr int kRingLocalBase = 2;
+
 /// A built mesh: the topology plus id lookup helpers.
 struct Mesh {
   Topology topology;
@@ -43,7 +46,8 @@ struct Star {
 Star BuildStar(int num_nis);
 
 /// Builds a ring of `num_routers` routers (port 0 = clockwise next, port 1 =
-/// counterclockwise prev, port 2+k = local NI k), with `nis_per_router` NIs.
+/// counterclockwise prev, port kRingLocalBase+k = local NI k), with
+/// `nis_per_router` NIs.
 struct Ring {
   Topology topology;
   std::vector<RouterId> routers;

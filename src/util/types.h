@@ -41,6 +41,10 @@ inline constexpr std::int32_t kInvalidId = -1;
 /// of latency per the paper's Section 5).
 inline constexpr int kFlitWords = 3;
 
+/// Largest router radix: routers keep their per-port state (pending wires,
+/// arbitration requests) in 32-bit masks.
+inline constexpr int kMaxRouterPorts = 32;
+
 }  // namespace aethereal
 
 #endif  // AETHEREAL_UTIL_TYPES_H

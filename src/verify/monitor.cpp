@@ -539,8 +539,8 @@ void Monitor::Evaluate() {
   const Cycle now = CycleCount();
   RefreshPairs();
 
-  // Validate the flits committed at the last end-of-slot edge (driven one
-  // slot ago) against the tables snapshotted one slot ago.
+  // Validate the flits driven one slot ago (what the wires show this
+  // slot) against the tables snapshotted one slot ago.
   if (now >= kFlitWords) {
     for (std::size_t n = 0; n < hookup_.nis.size(); ++n) {
       const Flit& inj = hookup_.injection[n]->data.Sample();

@@ -6,10 +6,10 @@
 // SocOptions::verify is set). Because modules of one clock evaluate in
 // registration order and all NI/router-internal mutations happen in the
 // Evaluate phase, the monitor's Evaluate at slot boundary t observes a
-// consistent "end of slot t-1" snapshot: link wires as committed at the
-// end-of-slot edge, NI register/credit state as left by the previous slot.
-// It samples committed state only (Wire::Sample, const NiKernel accessors)
-// and never stages anything, so arming it cannot change simulation results
+// consistent "end of slot t-1" snapshot: link wires as driven in slot t-1,
+// NI register/credit state as left by the previous slot. It reads settled
+// state only (SlotWire::Sample, const NiKernel accessors) and never
+// stages anything, so arming it cannot change simulation results
 // — the golden tests run byte-identical with the monitor on
 // (tests/verify_test.cpp).
 //

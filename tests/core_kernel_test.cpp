@@ -4,6 +4,7 @@
 // and flush — the full Fig. 2 datapath.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <memory>
 
 #include "core/ni_kernel.h"
@@ -39,19 +40,20 @@ class TwoNiFixture {
         "router", 0, router::RouterConfig{2, 8});
     ni0 = std::make_unique<NiKernel>("ni0", 0, p0);
     ni1 = std::make_unique<NiKernel>("ni1", 1, p1);
-    for (auto& l : links_) l = std::make_unique<link::DirectedLink>("link");
+    links_ = std::make_unique<link::WirePool>(net_, 4);
+    std::array<link::LinkWires*, 4> l{};
+    for (auto& wires : l) wires = links_->AddLink();
 
-    ni0->ConnectToRouter(&links_[0]->wires(), &links_[1]->wires(), 8);
-    router->ConnectInput(0, &links_[0]->wires());
-    router->ConnectOutput(0, &links_[1]->wires(), 8);
-    ni1->ConnectToRouter(&links_[2]->wires(), &links_[3]->wires(), 8);
-    router->ConnectInput(1, &links_[2]->wires());
-    router->ConnectOutput(1, &links_[3]->wires(), 8);
+    ni0->ConnectToRouter(l[0], l[1], 8);
+    router->ConnectInput(0, l[0]);
+    router->ConnectOutput(0, l[1], 8);
+    ni1->ConnectToRouter(l[2], l[3], 8);
+    router->ConnectInput(1, l[2]);
+    router->ConnectOutput(1, l[3], 8);
 
     net_->Register(router.get());
     net_->Register(ni0.get());
     net_->Register(ni1.get());
-    for (auto& l : links_) net_->Register(l.get());
     port_clk_->Register(ni0->port(0));
     port_clk_->Register(ni1->port(0));
   }
@@ -113,7 +115,7 @@ class TwoNiFixture {
  private:
   sim::Clock* net_ = nullptr;
   sim::Clock* port_clk_ = nullptr;
-  std::array<std::unique_ptr<link::DirectedLink>, 4> links_;
+  std::unique_ptr<link::WirePool> links_;
 };
 
 TEST(NiKernelRegisters, InfoRegistersReadOnly) {

@@ -1,16 +1,21 @@
 // Unit tests of the combined GT/BE router with scripted flit drivers:
 // source-route consumption, contention-free GT switching, wormhole
 // ownership, round-robin fairness, link-credit stalling, and the fatal
-// invariant checks.
+// invariant checks; plus a seeded differential test against a reference
+// router with a nested-loop best-effort arbiter.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
+#include <array>
 #include <memory>
 
+#include "fault/injector.h"
 #include "link/header.h"
 #include "link/wire.h"
 #include "router/router.h"
 #include "sim/kernel.h"
+#include "util/rng.h"
 
 namespace aethereal::router {
 namespace {
@@ -99,17 +104,16 @@ class RouterRig {
   RouterRig() {
     clock_ = sim_.AddClockMhz("net", 500.0);
     router_ = std::make_unique<Router>("router", 0, RouterConfig{3, 4});
+    links_ = std::make_unique<link::WirePool>(clock_, 6);
     for (int p = 0; p < 3; ++p) {
-      in_links_[p] = std::make_unique<link::DirectedLink>("in");
-      out_links_[p] = std::make_unique<link::DirectedLink>("out");
-      router_->ConnectInput(p, &in_links_[p]->wires());
-      router_->ConnectOutput(p, &out_links_[p]->wires(), 4);
-      sources_[p] = std::make_unique<ScriptedSource>(
-          "src" + std::to_string(p), &in_links_[p]->wires());
-      sinks_[p] = std::make_unique<RecordingSink>("sink" + std::to_string(p),
-                                                  &out_links_[p]->wires());
-      clock_->Register(in_links_[p].get());
-      clock_->Register(out_links_[p].get());
+      link::LinkWires* in = links_->AddLink();
+      link::LinkWires* out = links_->AddLink();
+      router_->ConnectInput(p, in);
+      router_->ConnectOutput(p, out, 4);
+      sources_[p] =
+          std::make_unique<ScriptedSource>("src" + std::to_string(p), in);
+      sinks_[p] =
+          std::make_unique<RecordingSink>("sink" + std::to_string(p), out);
       clock_->Register(sources_[p].get());
       clock_->Register(sinks_[p].get());
     }
@@ -126,8 +130,7 @@ class RouterRig {
   sim::Kernel sim_;
   sim::Clock* clock_;
   std::unique_ptr<Router> router_;
-  std::array<std::unique_ptr<link::DirectedLink>, 3> in_links_;
-  std::array<std::unique_ptr<link::DirectedLink>, 3> out_links_;
+  std::unique_ptr<link::WirePool> links_;
   std::array<std::unique_ptr<ScriptedSource>, 3> sources_;
   std::array<std::unique_ptr<RecordingSink>, 3> sinks_;
 };
@@ -328,6 +331,406 @@ TEST(RouterDeathTest, SidebandHeaderMismatchIsFatal) {
       },
       "sideband");
 }
+
+// ---------------------------------------------------------------------------
+// Randomized differential test: the router against a reference model whose
+// best-effort arbiter is the plain outputs x inputs nested loop.
+// ---------------------------------------------------------------------------
+
+// The reference router. It follows the router's documented slot semantics
+// step by step, with plain containers and the nested-loop round-robin
+// arbiter: for each free output, scan the inputs from rr_pointer and grant
+// the first one whose visible head is a header for that output.
+class ReferenceRouter {
+ public:
+  ReferenceRouter(int ports, int downstream_credits)
+      : inputs_(static_cast<std::size_t>(ports)),
+        outputs_(static_cast<std::size_t>(ports)) {
+    for (auto& out : outputs_) out.credits = downstream_credits;
+  }
+
+  // One slot: `arrivals[p]` reached input p (idle if none) and
+  // `credits_in[o]` credits came back on output o. Fills the flit driven on
+  // each output and the credits returned on each input.
+  void Slot(const std::vector<Flit>& arrivals,
+            const std::vector<int>& credits_in, bool frozen,
+            std::vector<Flit>* out_flits, std::vector<int>* credits_out) {
+    const int n = static_cast<int>(inputs_.size());
+    out_flits->assign(static_cast<std::size_t>(n), Flit::Idle());
+    credits_out->assign(static_cast<std::size_t>(n), 0);
+    for (int o = 0; o < n; ++o) outputs_[o].credits += credits_in[o];
+
+    std::vector<Flit> gt_out(static_cast<std::size_t>(n), Flit::Idle());
+    for (int p = 0; p < n; ++p) Accept(p, arrivals[p], frozen, &gt_out,
+                                       credits_out);
+
+    for (int o = 0; o < n; ++o) {
+      Output& out = outputs_[o];
+      if (!gt_out[o].IsIdle()) {
+        (*out_flits)[o] = gt_out[o];
+        if (out.owner != kInvalidId) ++stats.be_blocked_gt;
+        continue;
+      }
+      if (out.owner != kInvalidId) {
+        Input& in = inputs_[out.owner];
+        if (in.queue.empty()) continue;
+        if (out.credits <= 0) {
+          ++stats.be_blocked_credit;
+          continue;
+        }
+        const Entry e = Pop(out.owner, o, credits_out, out_flits);
+        if (e.flit.eop) {
+          in.draining = false;
+          out.owner = kInvalidId;
+        }
+        continue;
+      }
+      if (frozen) continue;
+      for (int k = 0; k < n; ++k) {
+        const int i = (out.rr + k) % n;
+        Input& in = inputs_[i];
+        if (in.draining || in.queue.empty()) continue;
+        const Entry& head = in.queue.front();
+        if (head.flit.kind != FlitKind::kHeader || head.target != o) continue;
+        if (out.credits <= 0) {
+          ++stats.be_blocked_credit;
+          break;
+        }
+        const Entry e = Pop(i, o, credits_out, out_flits);
+        ++stats.be_packets;
+        if (!e.flit.eop) {
+          in.draining = true;
+          out.owner = i;
+        }
+        out.rr = (i + 1) % n;
+        break;
+      }
+    }
+    // This slot's arrivals become visible to the arbiter next slot.
+    for (Input& in : inputs_) {
+      for (const Entry& e : in.staged) in.queue.push_back(e);
+      in.staged.clear();
+    }
+  }
+
+  RouterStats stats;
+
+ private:
+  struct Entry {
+    Flit flit;
+    int target = kInvalidId;
+  };
+  struct Input {
+    std::deque<Entry> queue;  // committed: what the arbiter sees
+    std::vector<Entry> staged;
+    int gt_target = kInvalidId;
+    int be_target = kInvalidId;
+    bool draining = false;
+    bool gt_discard = false;
+    bool be_discard = false;
+  };
+  struct Output {
+    int credits = 0;
+    int owner = kInvalidId;
+    int rr = 0;
+  };
+
+  void Accept(int p, const Flit& flit, bool frozen, std::vector<Flit>* gt_out,
+              std::vector<int>* credits_out) {
+    if (flit.IsIdle()) return;
+    Input& in = inputs_[p];
+    bool& discard = flit.gt ? in.gt_discard : in.be_discard;
+    if (flit.kind == FlitKind::kPayload && discard) {
+      discard = !flit.eop;
+      if (!flit.gt) ++(*credits_out)[p];
+      return;
+    }
+    if (frozen && flit.kind == FlitKind::kHeader) {
+      discard = !flit.eop;
+      if (!flit.gt) ++(*credits_out)[p];
+      return;
+    }
+    Flit forwarded = flit;
+    int target = flit.gt ? in.gt_target : in.be_target;
+    if (flit.kind == FlitKind::kHeader) {
+      PacketHeader header = PacketHeader::Decode(flit.words[0]);
+      target = header.path.NextHop();
+      header.path = header.path.Consume();
+      forwarded.words[0] = header.Encode();
+    }
+    (flit.gt ? in.gt_target : in.be_target) = flit.eop ? kInvalidId : target;
+    if (flit.gt) {
+      (*gt_out)[target] = forwarded;
+      ++stats.gt_flits;
+    } else {
+      in.staged.push_back(Entry{forwarded, target});
+      stats.be_max_occupancy = std::max<std::int64_t>(
+          stats.be_max_occupancy,
+          static_cast<std::int64_t>(in.queue.size() + in.staged.size()));
+    }
+  }
+
+  Entry Pop(int i, int o, std::vector<int>* credits_out,
+            std::vector<Flit>* out_flits) {
+    Input& in = inputs_[i];
+    const Entry e = in.queue.front();
+    in.queue.pop_front();
+    ++(*credits_out)[i];
+    --outputs_[o].credits;
+    (*out_flits)[o] = e.flit;
+    ++stats.be_flits;
+    return e;
+  }
+
+  std::vector<Input> inputs_;
+  std::vector<Output> outputs_;
+};
+
+struct FuzzConfig {
+  std::uint64_t seed = 1;
+  int ports = 5;
+  int be_buffer = 4;
+  int downstream_credits = 2;
+  double gt_start = 0.05;      // per idle input and slot
+  double be_start = 0.5;       // per input with credits and slot
+  double credit_return = 0.4;  // per output owing credits and slot
+  int slots = 3000;
+  std::vector<fault::StallWindow> stalls;
+};
+
+// The router's whole neighbourhood: upstream NIs injecting random legal
+// GT/BE traffic under link credits, downstream sinks returning credits at
+// random, and the reference model fed the same inputs. Every slot it
+// checks the router's outputs and credit returns of the previous slot.
+class FuzzHarness : public sim::Module {
+ public:
+  FuzzHarness(const FuzzConfig& config, std::vector<link::LinkWires*> in,
+              std::vector<link::LinkWires*> out)
+      : sim::Module("harness"),
+        config_(config),
+        rng_(config.seed),
+        in_(std::move(in)),
+        out_(std::move(out)),
+        reference_(config.ports, config.downstream_credits),
+        sources_(static_cast<std::size_t>(config.ports)),
+        owed_(static_cast<std::size_t>(config.ports), 0),
+        gt_holder_(static_cast<std::size_t>(config.ports), kInvalidId),
+        driven_(static_cast<std::size_t>(config.ports), Flit::Idle()),
+        credits_driven_(static_cast<std::size_t>(config.ports), 0) {
+    for (auto& src : sources_) src.credits = config.be_buffer;
+  }
+
+  void Evaluate() override {
+    if (CycleCount() % kFlitWords != 0) return;
+    const int n = config_.ports;
+    const auto slot = CycleCount() / kFlitWords;
+
+    // The router's previous slot, against the reference's prediction.
+    for (int o = 0; o < n; ++o) {
+      const Flit& got = out_[o]->data.Sample();
+      const Flit want =
+          expected_flits_.empty() ? Flit::Idle() : expected_flits_[o];
+      if (!(got == want) && mismatches_++ < 5) {
+        ADD_FAILURE() << "seed " << config_.seed << " slot " << slot
+                      << " output " << o << ": flit differs from reference";
+      }
+      if (!got.IsIdle() && !got.gt) ++owed_[o];
+    }
+    for (int p = 0; p < n; ++p) {
+      const int got = in_[p]->credit_return.Sample();
+      const int want = expected_credits_.empty() ? 0 : expected_credits_[p];
+      if (got != want && mismatches_++ < 5) {
+        ADD_FAILURE() << "seed " << config_.seed << " slot " << slot
+                      << " input " << p << ": returned " << got
+                      << " credits, reference " << want;
+      }
+      sources_[p].credits += got;
+    }
+
+    // The router works on our previous slot's drives this slot.
+    bool frozen = false;
+    for (const auto& w : config_.stalls) frozen |= w.Contains(CycleCount());
+    reference_.Slot(driven_, credits_driven_, frozen, &expected_flits_,
+                    &expected_credits_);
+
+    // Downstream sinks return owed credits at random.
+    for (int o = 0; o < n; ++o) {
+      credits_driven_[o] = 0;
+      if (owed_[o] > 0 && rng_.NextBool(config_.credit_return)) {
+        credits_driven_[o] =
+            static_cast<int>(rng_.NextInRange(1, owed_[o]));
+        owed_[o] -= credits_driven_[o];
+        out_[o]->credit_return.Drive(credits_driven_[o]);
+      }
+    }
+    // Upstream sources inject one flit per input at most.
+    gt_now_.assign(static_cast<std::size_t>(n), false);
+    for (int p = 0; p < n; ++p) {
+      driven_[p] = NextFlit(p);
+      if (!driven_[p].IsIdle()) in_[p]->data.Drive(driven_[p]);
+    }
+  }
+
+  const RouterStats& reference_stats() const { return reference_.stats; }
+
+ private:
+  struct Source {
+    int credits = 0;
+    int gt_left = 0;  // flits of the GT packet in progress
+    int gt_target = kInvalidId;
+    int be_left = 0;  // flits of the BE packet in progress
+  };
+
+  Flit Header(bool gt, int target, int flits) {
+    PacketHeader header;
+    header.gt = gt;
+    header.remote_qid = static_cast<int>(rng_.NextBelow(link::kMaxQueueId + 1));
+    header.path = SourcePath::FromHops({target, 0});
+    Flit flit;
+    flit.kind = FlitKind::kHeader;
+    flit.gt = gt;
+    flit.eop = flits == 1;
+    flit.valid_words = static_cast<int>(rng_.NextInRange(1, kFlitWords));
+    flit.words[0] = header.Encode();
+    flit.words[1] = static_cast<Word>(rng_.Next());
+    return flit;
+  }
+
+  Flit Payload(bool gt, bool eop) {
+    Flit flit;
+    flit.kind = FlitKind::kPayload;
+    flit.gt = gt;
+    flit.eop = eop;
+    flit.valid_words = static_cast<int>(rng_.NextInRange(1, kFlitWords));
+    flit.words = {static_cast<Word>(rng_.Next()), 0, 0};
+    return flit;
+  }
+
+  Flit NextFlit(int p) {
+    Source& src = sources_[p];
+    // GT packets occupy consecutive slots and hold their output for the
+    // whole packet, so no two GT flits ever meet at an output.
+    if (src.gt_left > 0) {
+      --src.gt_left;
+      gt_now_[src.gt_target] = true;
+      if (src.gt_left == 0) gt_holder_[src.gt_target] = kInvalidId;
+      return Payload(true, src.gt_left == 0);
+    }
+    if (rng_.NextBool(config_.gt_start)) {
+      const int target = static_cast<int>(rng_.NextBelow(config_.ports));
+      if (gt_holder_[target] == kInvalidId && !gt_now_[target]) {
+        const int flits = static_cast<int>(rng_.NextInRange(1, 3));
+        src.gt_left = flits - 1;
+        src.gt_target = target;
+        gt_now_[target] = true;
+        if (src.gt_left > 0) gt_holder_[target] = p;
+        return Header(true, target, flits);
+      }
+    }
+    if (src.credits == 0 || !rng_.NextBool(config_.be_start)) {
+      return Flit::Idle();
+    }
+    --src.credits;
+    if (src.be_left > 0) {
+      --src.be_left;
+      return Payload(false, src.be_left == 0);
+    }
+    // Half the packets are single-flit (credit-only) headers.
+    const int flits =
+        rng_.NextBool(0.5) ? 1 : static_cast<int>(rng_.NextInRange(2, 4));
+    src.be_left = flits - 1;
+    return Header(false, static_cast<int>(rng_.NextBelow(config_.ports)),
+                  flits);
+  }
+
+  FuzzConfig config_;
+  Rng rng_;
+  std::vector<link::LinkWires*> in_;
+  std::vector<link::LinkWires*> out_;
+  ReferenceRouter reference_;
+  std::vector<Source> sources_;
+  std::vector<int> owed_;       // BE credits each sink still has to return
+  std::vector<int> gt_holder_;  // input whose GT packet holds the output
+  std::vector<bool> gt_now_;    // output carries a GT flit this slot
+  std::vector<Flit> driven_;    // our drives of the current slot
+  std::vector<int> credits_driven_;
+  std::vector<Flit> expected_flits_;
+  std::vector<int> expected_credits_;
+  int mismatches_ = 0;
+};
+
+void RunFuzz(const FuzzConfig& config, sim::EngineKind engine) {
+  sim::Kernel sim;
+  sim.set_engine(engine);
+  sim::Clock* clock = sim.AddClockMhz("net", 500.0);
+  link::WirePool pool(clock, 2 * config.ports);
+  fault::FaultSpec spec;
+  spec.router_stalls = config.stalls;
+  fault::FaultInjector injector(spec);
+  Router router("router", 0, RouterConfig{config.ports, config.be_buffer});
+  router.SetFaultInjector(&injector);
+  std::vector<link::LinkWires*> in;
+  std::vector<link::LinkWires*> out;
+  for (int p = 0; p < config.ports; ++p) {
+    in.push_back(pool.AddLink());
+    out.push_back(pool.AddLink());
+    router.ConnectInput(p, in.back());
+    router.ConnectOutput(p, out.back(), config.downstream_credits);
+  }
+  FuzzHarness harness(config, in, out);
+  clock->Register(&harness);
+  clock->Register(&router);
+  sim.RunCycles(clock, static_cast<Cycle>(config.slots) * kFlitWords);
+
+  const RouterStats& got = router.stats();
+  const RouterStats& want = harness.reference_stats();
+  EXPECT_EQ(got.gt_flits, want.gt_flits);
+  EXPECT_EQ(got.be_flits, want.be_flits);
+  EXPECT_EQ(got.be_packets, want.be_packets);
+  EXPECT_EQ(got.be_blocked_credit, want.be_blocked_credit);
+  EXPECT_EQ(got.be_blocked_gt, want.be_blocked_gt);
+  EXPECT_EQ(got.be_max_occupancy, want.be_max_occupancy);
+  // The workload must actually reach the cases it exists for.
+  EXPECT_GT(want.gt_flits, 0);
+  EXPECT_GT(want.be_packets, 100);
+  EXPECT_GT(want.be_blocked_credit, 0);
+  EXPECT_GT(want.be_blocked_gt, 0);
+}
+
+class RouterFuzzTest : public ::testing::TestWithParam<sim::EngineKind> {};
+
+TEST_P(RouterFuzzTest, MatchesNestedLoopReferenceOverSeeds) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    FuzzConfig config;
+    config.seed = seed;
+    RunFuzz(config, GetParam());
+  }
+}
+
+TEST_P(RouterFuzzTest, MatchesReferenceOnARadix7Router) {
+  FuzzConfig config;
+  config.seed = 99;
+  config.ports = 7;
+  config.downstream_credits = 1;
+  RunFuzz(config, GetParam());
+}
+
+TEST_P(RouterFuzzTest, MatchesReferenceThroughStallWindows) {
+  for (std::uint64_t seed = 11; seed <= 14; ++seed) {
+    FuzzConfig config;
+    config.seed = seed;
+    config.stalls = {{0, 300, 150}, {0, 1200, 3 * 97}, {0, 4000, 31}};
+    RunFuzz(config, GetParam());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Engines, RouterFuzzTest,
+                         ::testing::Values(sim::EngineKind::kNaive,
+                                           sim::EngineKind::kGated),
+                         [](const auto& info) {
+                           return std::string(
+                               sim::EngineKindName(info.param));
+                         });
 
 }  // namespace
 }  // namespace aethereal::router

@@ -1,5 +1,5 @@
-// Error-path coverage for the scenario spec parser: malformed keys,
-// out-of-range values, and duplicate directives must produce clear
+// Error-path coverage for the scenario (and sweep) spec parsers: malformed
+// keys, out-of-range values, and duplicate directives must produce clear
 // diagnostics with line numbers — never silent defaults. A scenario file
 // is the experiment record; a typo that parses is a corrupted experiment.
 #include <string>
@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "scenario/spec.h"
+#include "sweep/spec.h"
 
 namespace aethereal::scenario {
 namespace {
@@ -75,6 +76,45 @@ TEST(SpecErrorsTest, MalformedNumbers) {
               2);
   ExpectError("noc star 4\ntraffic uniform inject bernoulli fast\n",
               "expected a number", 2);
+}
+
+// Regression: router radix above 32 used to parse, then abort on the
+// router's 32-bit port-mask CHECK at build time.
+TEST(SpecErrorsTest, RouterRadixAbove32) {
+  ExpectError("noc star 40\ntraffic uniform\n", "router radix 40 exceeds 32",
+              1);
+  ExpectError("scenario x\nnoc mesh 2 2 30\ntraffic uniform\n",
+              "router radix 34 exceeds 32", 2);
+  ExpectError("noc ring 3 31\ntraffic neighbor\n",
+              "router radix 33 exceeds 32", 1);
+  // The largest legal radix of each topology still parses.
+  for (const char* noc : {"noc star 32", "noc mesh 1 2 28", "noc ring 3 30"}) {
+    auto spec = ParseScenario(std::string(noc) + "\ntraffic uniform\n");
+    EXPECT_TRUE(spec.ok()) << noc << ": " << spec.status();
+  }
+}
+
+TEST(SpecErrorsTest, SweepRouterRadixAbove32) {
+  const auto load_base = [](const std::string&) {
+    return ParseScenario("noc star 4\ntraffic uniform\n");
+  };
+  const auto expect = [&](const std::string& text, const std::string& needle,
+                          int line) {
+    auto sweep = sweep::ParseSweep(text, load_base);
+    ASSERT_FALSE(sweep.ok()) << text;
+    EXPECT_NE(sweep.status().message().find(needle), std::string::npos)
+        << sweep.status();
+    EXPECT_NE(sweep.status().message().find("line " + std::to_string(line)),
+              std::string::npos)
+        << sweep.status();
+  };
+  expect("sweep s\nbase b.scn\naxis noc star7 star40\n",
+         "router radix 40 exceeds 32", 3);
+  expect("sweep s\nbase b.scn\nset noc mesh2x2x30\n",
+         "router radix 34 exceeds 32", 3);
+  auto ok = sweep::ParseSweep("sweep s\nbase b.scn\naxis noc star7 star32\n",
+                              load_base);
+  EXPECT_TRUE(ok.ok()) << ok.status();
 }
 
 TEST(SpecErrorsTest, OutOfRangeScalars) {
