@@ -18,8 +18,7 @@ using link::PacketHeader;
 
 NiPort::NiPort(std::string name, NiKernel* kernel)
     : sim::Module(std::move(name)), kernel_(kernel) {
-  SetEvaluateIsNoop();      // ports are pure commit machinery
-  SetDefaultCommitOnly();
+  SetEvaluateIsNoop();  // ports only own the flush-request registers
 }
 
 bool NiPort::CanWrite(int connid, int words) const {
@@ -122,23 +121,17 @@ NiKernel::NiKernel(std::string name, NiId id, const NiKernelParams& params)
       ch->params = cp;
       ch->data_flush_reqs.kernel = this;
       ch->credit_flush_reqs.kernel = this;
-      // Network-domain state commits with the kernel; port-domain state
-      // (including the flush-request signals) with the port.
-      RegisterState(&ch->source_net_side);
-      RegisterState(&ch->dest_net_side);
-      port->RegisterState(&ch->source_port_side);
-      port->RegisterState(&ch->dest_port_side);
+      ch->source.SetSides(port.get(), this);
+      ch->dest.SetSides(this, port.get());
+      // The flush-request signals are port-domain state.
       port->RegisterState(&ch->data_flush_reqs);
       port->RegisterState(&ch->credit_flush_reqs);
       port->channels_.push_back(flat);
     }
     ports_.push_back(std::move(port));
   }
-  // Registered last so the naïve full-walk commit applies register writes
-  // after all state elements, exactly like the pre-optimization engine.
   RegisterState(&reg_apply_);
   SetEvaluateStride(kFlitWords);  // all work happens at slot boundaries
-  SetDefaultCommitOnly();
 }
 
 NiKernel::~NiKernel() = default;

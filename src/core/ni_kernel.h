@@ -30,7 +30,7 @@
 #include "sim/cdc_fifo.h"
 #include "sim/fifo.h"
 #include "sim/kernel.h"
-#include "sim/soa_state.h"
+#include "sim/slab.h"
 #include "util/status.h"
 #include "util/types.h"
 
@@ -179,9 +179,8 @@ class NiKernel : public sim::Module {
  private:
   friend class NiPort;
 
-  /// Applies pending configuration-register writes at the clock edge. A
-  /// TwoPhase element (instead of a Commit() override) so the kernel's
-  /// commit call can be elided on edges with nothing staged.
+  /// Applies pending configuration-register writes at the clock edge, so
+  /// the commit phase visits the kernel only on edges with writes staged.
   class RegApply : public sim::TwoPhase {
    public:
     explicit RegApply(NiKernel* kernel) : kernel_(kernel) {}
@@ -194,12 +193,7 @@ class NiKernel : public sim::Module {
 
   struct Channel {
     Channel(int source_queue_words, int dest_queue_words)
-        : source(source_queue_words),
-          dest(dest_queue_words),
-          source_net_side(&source),
-          dest_net_side(&dest),
-          source_port_side(&source),
-          dest_port_side(&dest) {}
+        : source(source_queue_words), dest(dest_queue_words) {}
 
     // Design-time.
     int port = 0;
@@ -207,13 +201,9 @@ class NiKernel : public sim::Module {
     ChannelParams params;
     // Queues (the CDC boundary), stored inline so the per-slot channel walk
     // (harvest, schedule, eligibility) stays within the channel slab
-    // instead of chasing one heap allocation per queue and adapter.
-    sim::CdcFifo<Word> source;
-    sim::CdcFifo<Word> dest;
-    sim::CdcReadSide<Word> source_net_side;
-    sim::CdcWriteSide<Word> dest_net_side;
-    sim::CdcWriteSide<Word> source_port_side;
-    sim::CdcReadSide<Word> dest_port_side;
+    // instead of chasing one heap allocation per queue.
+    sim::CdcFifo<Word> source;  // port writes, kernel reads
+    sim::CdcFifo<Word> dest;    // kernel writes, port reads
     // Run-time configuration registers.
     bool enabled = false;
     bool gt = false;
@@ -279,9 +269,9 @@ class NiKernel : public sim::Module {
 
   NiId id_;
   NiKernelParams params_;
-  // Channels live in a contiguous fixed-capacity slab: their queues and
-  // flush registers are registered as state by address, so they must never
-  // move (sim/soa_state.h).
+  // Channels live in a contiguous fixed-capacity slab: their flush
+  // registers are registered as state by address, so they must never move
+  // (sim/slab.h).
   sim::Slab<Channel> channels_;
   std::vector<std::unique_ptr<NiPort>> ports_;
   std::vector<ChannelId> stu_;  // slot -> owning channel (or kInvalidId)

@@ -32,7 +32,7 @@
 
 #include "link/flit.h"
 #include "sim/kernel.h"
-#include "sim/soa_state.h"
+#include "sim/slab.h"
 #include "util/check.h"
 
 namespace aethereal::link {

@@ -20,7 +20,6 @@ Router::Router(std::string name, RouterId id, const RouterConfig& config)
                   config.num_ports <= kMaxRouterPorts);
   AETHEREAL_CHECK(config.be_buffer_flits > 0);
   SetEvaluateStride(kFlitWords);  // all work happens at slot boundaries
-  SetDefaultCommitOnly();
   inputs_.reserve(static_cast<std::size_t>(config.num_ports));
   outputs_.resize(static_cast<std::size_t>(config.num_ports));
   // The BE queues are touched only by this router's slot Evaluate, so it

@@ -4,28 +4,30 @@
 // boundary so every NI port can run at its own frequency (paper §4.1, §5).
 // The paper budgets 2 clock cycles for the crossing; this model implements
 // that as a 2-reader-edge synchronizer on the write pointer (data becomes
-// visible to the reader two of *its* edges after the writer committed it)
-// and symmetrically a 2-writer-edge synchronizer on the read pointer (freed
+// visible to the reader two of *its* edges after the writer's edge) and
+// symmetrically a 2-writer-edge synchronizer on the read pointer (freed
 // space becomes visible to the writer two of *its* edges after the pop).
 //
-// Dirty-list protocol (DESIGN.md §7): each side's adapter arms itself when
-// the fifo is staged on that side, and arms the side a synchronizer entry
-// is travelling toward *for the exact edge the entry matures* (MarkDirtyAt),
-// so neither side commits — and neither owner is kept awake — on the edges
-// in between.
+// Stamped queue (DESIGN.md §5): Push() stamps each word with the last
+// reader edge at which it is still invisible, Pop() stamps each freed word
+// with the last such writer edge, and each side reads the stamps against
+// its own clock's cycles(): a word is readable at reader edge r exactly
+// when its stamp < r. Nothing is staged, so the queue takes no part in the
+// commit phase, and the order in which modules evaluate cannot leak a word
+// early. Staging wakes the far side's module (and the read listener) with
+// a hold that lasts through the edge the stamp matures at, so a parked
+// party is running again when it can act.
 //
-// Maturity edges are computed in absolute clock cycles. The subtlety is
-// that the reference (naïve) engine commits every module every edge in
-// registration order, which makes the observed synchronizer delay depend
-// on whether the destination side's module commits before or after the
-// source side's module within one edge: an entry handed off at edge N is
-// picked up the same edge by a destination that commits later in the sweep
-// (delay kCdcSyncEdges - 1 strictly-future edges), but only next edge by
-// one that commits earlier (delay kCdcSyncEdges). Across different clocks
-// the per-clock cycle counters are incremented in firing order, which
-// encodes the same information automatically. Both cases reduce to a
-// per-fifo constant delta resolved once from the registration order, so
-// the absolute stamps reproduce the reference behaviour bit-exactly.
+// The stamps are those of a two-phase synchronizer that hands a word over
+// when the near side commits its edge and delivers it when the far side
+// commits an edge with cycles() >= the stamp, where the stamp is the far
+// clock's cycles() at the hand-off plus kCdcSyncEdges - 1. That reference
+// makes the observed delay depend on commit order: a far side that commits
+// before the near side in the same edge sees the hand-off one edge later.
+// On one clock, commit order is registration order, resolved once into
+// in_flight_delta_ / space_delta_. Across clocks, a far clock that fires in
+// the same instant with a lower id has already counted that edge when the
+// near side commits, which FarCyclesAtCommit() adds.
 #ifndef AETHEREAL_SIM_CDC_FIFO_H
 #define AETHEREAL_SIM_CDC_FIFO_H
 
@@ -42,47 +44,19 @@ namespace aethereal::sim {
 inline constexpr int kCdcSyncEdges = 2;
 
 template <typename T>
-class CdcFifo;
-
-/// Adapters so a CdcFifo side can be registered as Module state.
-template <typename T>
-class CdcWriteSide : public TwoPhase {
- public:
-  explicit CdcWriteSide(CdcFifo<T>* fifo);
-  void Commit() override;
-
- private:
-  friend class CdcFifo<T>;
-  void Arm() { MarkDirty(); }
-  void ArmAt(Cycle due) { MarkDirtyAt(due); }
-  Module* Owner() const { return owner(); }
-  CdcFifo<T>* fifo_;
-};
-
-template <typename T>
-class CdcReadSide : public TwoPhase {
- public:
-  explicit CdcReadSide(CdcFifo<T>* fifo);
-  void Commit() override;
-
- private:
-  friend class CdcFifo<T>;
-  void Arm() { MarkDirty(); }
-  void ArmAt(Cycle due) { MarkDirtyAt(due); }
-  Module* Owner() const { return owner(); }
-  CdcFifo<T>* fifo_;
-};
-
-template <typename T>
 class CdcFifo {
  public:
   explicit CdcFifo(int capacity)
-      : capacity_(capacity),
-        staged_pushes_(capacity),
-        pending_space_(capacity),
-        in_flight_(capacity),
-        visible_(capacity) {
+      : capacity_(capacity), entries_(capacity), freed_stamps_(capacity) {
     AETHEREAL_CHECK(capacity > 0);
+  }
+
+  /// Names the modules of the two domains: `writer` owns the push side,
+  /// `reader` the pop side. Both must be registered on their clocks before
+  /// the first Push().
+  void SetSides(Module* writer, Module* reader) {
+    writer_ = writer;
+    reader_ = reader;
   }
 
   int capacity() const { return capacity_; }
@@ -92,263 +66,164 @@ class CdcFifo {
   /// Space as the writer currently sees it (pessimistic by up to the
   /// synchronizer delay, as in real gray-code FIFOs).
   int WriterSpace() const {
-    return capacity_ - writer_occupancy_ - staged_pushes_.size();
+    SettleWriter();
+    return capacity_ - writer_occupancy_;
   }
 
   bool CanPush() const { return WriterSpace() > 0; }
 
   void Push(T value) {
     AETHEREAL_CHECK_MSG(CanPush(), "CdcFifo overflow");
-    staged_pushes_.push_back(std::move(value));
-    if (write_side_ != nullptr) write_side_->Arm();
+    if (wclock_ == nullptr) Resolve();
+    const Cycle stamp = FarCyclesAtCommit(wclock_, rclock_) + in_flight_delta_;
+    entries_.push_back(Entry{std::move(value), stamp});
+    ++writer_occupancy_;
+    // Readable from reader edge stamp + 1 on: hold both parties awake
+    // through that edge.
+    const Cycle hold = stamp + 1 - rclock_->cycles();
+    reader_->Wake(hold);
+    if (read_listener_ != nullptr) {
+      AETHEREAL_CHECK_MSG(read_listener_->clock() == rclock_,
+                          read_listener_->name()
+                              << ": read listener off the reader's clock");
+      read_listener_->Wake(hold);
+    }
   }
 
   /// Words freed by the reader that the writer has now synchronized but not
   /// yet acknowledged via TakeFreedForWriter(). The NI kernel uses this to
   /// turn destination-queue consumption into end-to-end credits.
   int TakeFreedForWriter() {
+    SettleWriter();
     const int freed = freed_for_writer_;
     freed_for_writer_ = 0;
     return freed;
   }
 
-  /// Writer-domain clock edge: commits staged pushes and advances the
-  /// read-pointer synchronizer.
-  void CommitWriteSide() {
-    if (mode_ == Mode::kUnresolved) Resolve();
-    if (mode_ == Mode::kAbsolute) {
-      const Cycle wnow = wclock_->cycles();
-      int freed = 0;
-      while (!pending_space_.empty() &&
-             pending_space_.front().visible_edge <= wnow) {
-        writer_occupancy_ -= pending_space_.front().count;
-        freed += pending_space_.front().count;
-        pending_space_.pop_front();
-      }
-      if (freed > 0) {
-        freed_for_writer_ += freed;
-        // Freed space (and harvestable credits) just became visible on the
-        // writer side: the owner may have parked through the synchronizer
-        // wait and must evaluate against the new state next edge.
-        write_side_->Owner()->Wake();
-      }
-      if (!staged_pushes_.empty()) {
-        const Cycle stamp = rclock_->cycles() + in_flight_delta_;
-        do {
-          writer_occupancy_ += 1;
-          in_flight_.push_back(Entry{staged_pushes_.pop_front(), stamp});
-        } while (!staged_pushes_.empty());
-        if (read_side_ != nullptr) {
-          read_side_->ArmAt(in_flight_.front().visible_edge);
-        }
-      }
-      if (!pending_space_.empty()) {
-        write_side_->ArmAt(pending_space_.front().visible_edge);
-      }
-      return;
-    }
-    // Unclocked fallback (manually driven fifos, e.g. unit tests): per-side
-    // edge counters that advance once per commit call. Pops become visible
-    // to the writer kCdcSyncEdges writer edges after they were reported by
-    // the reader commit.
-    ++writer_edges_;
-    while (!pending_space_.empty() &&
-           pending_space_.front().visible_edge <= writer_edges_) {
-      writer_occupancy_ -= pending_space_.front().count;
-      freed_for_writer_ += pending_space_.front().count;
-      pending_space_.pop_front();
-    }
-    const bool handed_off = !staged_pushes_.empty();
-    while (!staged_pushes_.empty()) {
-      writer_occupancy_ += 1;
-      // The value becomes visible to the reader kCdcSyncEdges reader edges
-      // from the *next* reader edge.
-      in_flight_.push_back(
-          Entry{staged_pushes_.pop_front(), reader_edges_ + kCdcSyncEdges});
-    }
-    // The reader synchronizer now has work; the writer synchronizer may
-    // still have space returns in flight toward us.
-    if (handed_off && read_side_ != nullptr) read_side_->Arm();
-    if (!pending_space_.empty() && write_side_ != nullptr) write_side_->Arm();
-  }
-
   // ---- reader-side interface (call only from the reader's clock domain) --
 
-  /// Committed words visible to the reader this cycle.
-  int ReaderSize() const { return visible_.size(); }
+  /// Words visible to the reader this cycle, counting the ones popped this
+  /// cycle (a pop leaves the reader's view at the next edge).
+  int ReaderSize() const { return ReaderAvailable() + PoppedThisEdge(); }
 
-  /// Words still poppable this cycle (visible minus pops already staged).
-  int ReaderAvailable() const { return ReaderSize() - staged_pops_; }
+  /// Words still poppable this cycle (visible minus pops already made).
+  int ReaderAvailable() const {
+    while (visible_ < entries_.size() &&
+           entries_[visible_].stamp < rclock_->cycles()) {
+      ++visible_;
+    }
+    return visible_;
+  }
 
-  bool CanPop() const { return staged_pops_ < ReaderSize(); }
+  bool CanPop() const { return ReaderAvailable() > 0; }
 
   const T& Peek(int offset = 0) const {
-    const int index = staged_pops_ + offset;
-    AETHEREAL_CHECK(index < ReaderSize());
-    return visible_[index];
+    AETHEREAL_CHECK(offset < ReaderAvailable());
+    return entries_[offset].value;
   }
 
   T Pop() {
     AETHEREAL_CHECK_MSG(CanPop(), "CdcFifo underflow");
-    T value = visible_[staged_pops_];
-    ++staged_pops_;
-    if (read_side_ != nullptr) read_side_->Arm();
+    T value = entries_.pop_front().value;
+    --visible_;
+    const Cycle rnow = rclock_->cycles();
+    if (pop_edge_ != rnow) {
+      pop_edge_ = rnow;
+      popped_ = 0;
+    }
+    ++popped_;
+    const Cycle stamp = FarCyclesAtCommit(rclock_, wclock_) + space_delta_;
+    freed_stamps_.push_back(stamp);
+    writer_->Wake(stamp + 1 - wclock_->cycles());
     return value;
   }
 
-  /// Declares a module to Wake() whenever newly synchronized words become
+  /// Declares a module to Wake() whenever newly pushed words will become
   /// visible to the reader — lets a consumer park on an empty queue and
-  /// still start reading at exactly the first cycle data is readable.
+  /// still start reading at exactly the first cycle data is readable. The
+  /// listener runs on the reader's clock.
   void SetReadListener(Module* listener) { read_listener_ = listener; }
 
-  /// Reader-domain clock edge: applies pops and advances the write-pointer
-  /// synchronizer (newly synchronized words become visible).
-  void CommitReadSide() {
-    if (mode_ == Mode::kUnresolved) Resolve();
-    if (mode_ == Mode::kAbsolute) {
-      const Cycle rnow = rclock_->cycles();
-      if (staged_pops_ > 0) {
-        for (int i = 0; i < staged_pops_; ++i) visible_.pop_front();
-        pending_space_.push_back(
-            SpaceReturn{staged_pops_, wclock_->cycles() + space_delta_});
-        staged_pops_ = 0;
-        // The writer synchronizer now has a space return to deliver.
-        if (write_side_ != nullptr) {
-          write_side_->ArmAt(pending_space_.front().visible_edge);
-        }
-      }
-      bool delivered = false;
-      while (!in_flight_.empty() &&
-             in_flight_.front().visible_edge <= rnow) {
-        visible_.push_back(std::move(in_flight_.front().value));
-        in_flight_.pop_front();
-        delivered = true;
-      }
-      if (!in_flight_.empty()) {
-        read_side_->ArmAt(in_flight_.front().visible_edge);
-      }
-      if (delivered) {
-        // Wake takes effect next edge — exactly the first edge at which the
-        // words committed here are readable. The owner wake covers modules
-        // that read their own fifo without a listener registration.
-        if (read_listener_ != nullptr) read_listener_->Wake();
-        read_side_->Owner()->Wake();
-      }
-      return;
-    }
-    ++reader_edges_;
-    if (staged_pops_ > 0) {
-      for (int i = 0; i < staged_pops_; ++i) visible_.pop_front();
-      pending_space_.push_back(
-          SpaceReturn{staged_pops_, writer_edges_ + kCdcSyncEdges});
-      staged_pops_ = 0;
-      // The writer synchronizer now has a space return to deliver.
-      if (write_side_ != nullptr) write_side_->Arm();
-    }
-    bool delivered = false;
-    while (!in_flight_.empty() &&
-           in_flight_.front().visible_edge <= reader_edges_) {
-      visible_.push_back(std::move(in_flight_.front().value));
-      in_flight_.pop_front();
-      delivered = true;
-    }
-    if (!in_flight_.empty() && read_side_ != nullptr) read_side_->Arm();
-    // Wake takes effect next edge — exactly the first edge at which the
-    // words committed here are readable.
-    if (delivered && read_listener_ != nullptr) read_listener_->Wake();
-  }
-
  private:
-  template <typename U>
-  friend class CdcWriteSide;
-  template <typename U>
-  friend class CdcReadSide;
-
   struct Entry {
     T value{};
-    Cycle visible_edge = 0;  // reader edge count at which this becomes visible
-  };
-  struct SpaceReturn {
-    int count = 0;
-    Cycle visible_edge = 0;  // writer edge count at which space is returned
+    Cycle stamp = 0;  // last reader edge at which the word is invisible
   };
 
-  /// Resolves the stamping mode once both sides are (or are known never to
-  /// be) registered to clocked modules. Absolute mode stamps maturity in
-  /// clock cycles with the per-fifo delta encoding the commit-sweep order
-  /// (see the file comment); the fallback keeps per-call edge counters for
-  /// manually driven fifos.
+  /// Fixes the two clocks and the same-clock commit-order deltas (see the
+  /// file comment). Runs at the first Push(); every other member that
+  /// reads a clock only does so once a word has been pushed.
   void Resolve() {
-    Module* wm = write_side_ != nullptr ? write_side_->Owner() : nullptr;
-    Module* rm = read_side_ != nullptr ? read_side_->Owner() : nullptr;
-    if (wm != nullptr && rm != nullptr && wm->clock() != nullptr &&
-        rm->clock() != nullptr) {
-      wclock_ = wm->clock();
-      rclock_ = rm->clock();
-      const bool same = wclock_ == rclock_;
-      in_flight_delta_ =
-          kCdcSyncEdges - 1 +
-          ((same && rm->clock_index() < wm->clock_index()) ? 1 : 0);
-      space_delta_ =
-          kCdcSyncEdges - 1 +
-          ((same && wm->clock_index() < rm->clock_index()) ? 1 : 0);
-      mode_ = Mode::kAbsolute;
-    } else {
-      mode_ = Mode::kRelative;
+    AETHEREAL_CHECK_MSG(writer_ != nullptr && reader_ != nullptr &&
+                            writer_->clock() != nullptr &&
+                            reader_->clock() != nullptr,
+                        "CdcFifo pushed before both sides were registered "
+                        "on clocks");
+    wclock_ = writer_->clock();
+    rclock_ = reader_->clock();
+    const bool same = wclock_ == rclock_;
+    in_flight_delta_ =
+        kCdcSyncEdges - 1 +
+        ((same && reader_->clock_index() < writer_->clock_index()) ? 1 : 0);
+    space_delta_ =
+        kCdcSyncEdges - 1 +
+        ((same && writer_->clock_index() < reader_->clock_index()) ? 1 : 0);
+  }
+
+  /// `far`'s cycles() as seen when `near` commits the edge the caller is
+  /// evaluating (between steps: `near`'s next edge), with coincident edges
+  /// committed in clock-id order.
+  static Cycle FarCyclesAtCommit(const Clock* near, const Clock* far) {
+    Cycle cycles = far->cycles();
+    if (far == near) return cycles;
+    const Picoseconds at = near->next_edge_ps();
+    Picoseconds far_next = far->next_edge_ps();
+    if (far_next < at) {  // only between steps: far edges come first
+      const Picoseconds period = far->period_ps();
+      const Cycle skipped = (at - far_next + period - 1) / period;
+      cycles += skipped;
+      far_next += skipped * period;
+    }
+    if (far_next == at && far->id() < near->id()) ++cycles;
+    return cycles;
+  }
+
+  /// Retires the space returns whose stamp has passed on the writer clock.
+  void SettleWriter() const {
+    while (!freed_stamps_.empty() &&
+           freed_stamps_.front() < wclock_->cycles()) {
+      freed_stamps_.pop_front();
+      --writer_occupancy_;
+      ++freed_for_writer_;
     }
   }
 
-  enum class Mode : unsigned char { kUnresolved, kAbsolute, kRelative };
+  int PoppedThisEdge() const {
+    return (popped_ > 0 && pop_edge_ == rclock_->cycles()) ? popped_ : 0;
+  }
 
   int capacity_;
-  Mode mode_ = Mode::kUnresolved;
-  Clock* wclock_ = nullptr;
-  Clock* rclock_ = nullptr;
+  Module* writer_ = nullptr;
+  Module* reader_ = nullptr;
+  Module* read_listener_ = nullptr;
+  const Clock* wclock_ = nullptr;  // null until Resolve()
+  const Clock* rclock_ = nullptr;
   Cycle in_flight_delta_ = 0;
   Cycle space_delta_ = 0;
-  // Writer side.
-  int writer_occupancy_ = 0;  // occupancy as the writer believes it
-  int freed_for_writer_ = 0;  // synchronized frees not yet harvested
-  Ring<T> staged_pushes_;
-  Cycle writer_edges_ = 0;
-  Ring<SpaceReturn> pending_space_;
-  // Crossing.
-  Ring<Entry> in_flight_;
-  // Reader side.
-  Ring<T> visible_;
-  int staged_pops_ = 0;
-  Cycle reader_edges_ = 0;
-  // Registered adapters (set by the adapter constructors).
-  CdcWriteSide<T>* write_side_ = nullptr;
-  CdcReadSide<T>* read_side_ = nullptr;
-  Module* read_listener_ = nullptr;
+  // Words pushed and not yet popped, oldest first, with their stamps.
+  Ring<Entry> entries_;
+  int popped_ = 0;       // pops made at reader edge pop_edge_
+  Cycle pop_edge_ = -1;
+  // Lazily settled by the const accessors: each is a function of the
+  // stamps and the current edge, so settling changes nothing a caller can
+  // observe. visible_ counts the leading entries whose stamp has passed;
+  // freed_stamps_ holds one stamp per popped word not yet returned to the
+  // writer's view of the occupancy.
+  mutable int visible_ = 0;
+  mutable Ring<Cycle> freed_stamps_;
+  mutable int writer_occupancy_ = 0;  // occupancy as the writer believes it
+  mutable int freed_for_writer_ = 0;  // synchronized frees not yet harvested
 };
-
-template <typename T>
-CdcWriteSide<T>::CdcWriteSide(CdcFifo<T>* fifo) : fifo_(fifo) {
-  AETHEREAL_CHECK(fifo != nullptr);
-  AETHEREAL_CHECK_MSG(fifo->write_side_ == nullptr,
-                      "CdcFifo already has a write-side adapter");
-  fifo->write_side_ = this;
-}
-
-template <typename T>
-void CdcWriteSide<T>::Commit() {
-  fifo_->CommitWriteSide();
-}
-
-template <typename T>
-CdcReadSide<T>::CdcReadSide(CdcFifo<T>* fifo) : fifo_(fifo) {
-  AETHEREAL_CHECK(fifo != nullptr);
-  AETHEREAL_CHECK_MSG(fifo->read_side_ == nullptr,
-                      "CdcFifo already has a read-side adapter");
-  fifo->read_side_ = this;
-}
-
-template <typename T>
-void CdcReadSide<T>::Commit() {
-  fifo_->CommitReadSide();
-}
 
 }  // namespace aethereal::sim
 

@@ -1,12 +1,13 @@
 // Synchronous FIFO and register models with two-phase update semantics.
 //
-// These model the "custom-made hardware fifos" of the NI kernel (paper
-// Section 4.1/5): readers see only state committed at the previous clock
-// edge; pushes and pops staged during Evaluate() take effect at Commit().
+// Readers see only state committed at the previous clock edge; pushes,
+// pops and register writes staged during Evaluate() take effect at
+// Commit().
 //
-// Both models participate in the dirty-list commit protocol (DESIGN.md §7):
-// staging marks the element dirty; a commit with nothing staged is never
-// required, so committed-but-idle queues cost nothing per edge.
+// A Register is TwoPhase state: staging marks it dirty, and the kernel's
+// commit phase applies it (DESIGN.md §7.2). A Fifo is not registered
+// anywhere: its one user, the router, commits the queues it touched itself
+// at the start of its next slot (DESIGN.md §6).
 #ifndef AETHEREAL_SIM_FIFO_H
 #define AETHEREAL_SIM_FIFO_H
 
@@ -23,7 +24,7 @@ namespace aethereal::sim {
 /// same-edge push (flow-through space accounting, as in the Æthereal
 /// hardware FIFOs which support simultaneous read and write access).
 template <typename T>
-class Fifo : public TwoPhase {
+class Fifo {
  public:
   // The one ring holds the committed entries followed by this edge's staged
   // pushes: at most `capacity` committed plus at most `capacity` pushed.
@@ -61,7 +62,6 @@ class Fifo : public TwoPhase {
   void Push(T value) {
     AETHEREAL_CHECK_MSG(CanPush(), "Fifo overflow (capacity " << capacity_ << ")");
     entries_.push_back(std::move(value));
-    MarkDirty();
   }
 
   /// Stage a pop and return the popped value.
@@ -69,11 +69,11 @@ class Fifo : public TwoPhase {
     AETHEREAL_CHECK_MSG(CanPop(), "Fifo underflow");
     T value = entries_[staged_pops_];
     ++staged_pops_;
-    MarkDirty();
     return value;
   }
 
-  void Commit() override {
+  /// Applies the staged pushes and pops.
+  void Commit() {
     entries_.drop_front(staged_pops_);
     staged_pops_ = 0;
     committed_ = entries_.size();

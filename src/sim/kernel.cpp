@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <utility>
 
 namespace aethereal::sim {
 
@@ -34,26 +35,15 @@ void Module::RegisterState(TwoPhase* element) {
                       name() << ": state element already registered");
   element->owner_ = this;
   state_.push_back(element);
-  // Keep the dirty lists allocation-free at commit time.
+  // Keep the dirty list allocation-free at commit time.
   dirty_.reserve(state_.size());
-  dirty_scratch_.reserve(state_.size());
 }
 
-void Module::CommitState() {
-  if (clock_ == nullptr || clock_->kernel_ == nullptr ||
-      clock_->kernel_->gating()) {
-    // Dirty-list commit. Elements may re-arm (MarkDirty / MarkDirtyAt)
-    // from inside Commit(); they then land on the fresh dirty_ list for a
-    // coming edge, so iterate a swapped-out snapshot.
-    CommitDirty();
-  } else {
-    // Naïve reference path: commit everything, every edge. Reset the dirty
-    // bookkeeping first so re-arms inside Commit() cannot grow it without
-    // bound (the flags are meaningless on this path).
-    for (TwoPhase* s : dirty_) s->dirty_ = false;
-    dirty_.clear();
-    for (TwoPhase* s : state_) s->Commit();
-  }
+void Module::CommitAll() {
+  // The dirty bookkeeping is meaningless here; reset it so it cannot grow.
+  for (TwoPhase* s : dirty_) s->dirty_ = false;
+  dirty_.clear();
+  for (TwoPhase* s : state_) s->Commit();
 }
 
 void Module::Park() {
@@ -62,12 +52,6 @@ void Module::Park() {
       !clock_->kernel_->gating()) {
     return;
   }
-  // State staged for the coming edge must commit before the module sleeps
-  // (the imminent commit may expose work). Elements armed only for FUTURE
-  // edges (synchronizer traffic in flight) do not block parking: the commit
-  // sweep visits parked modules too, and the maturing element wakes every
-  // party that can act on the delivery.
-  if (commit_due_ <= clock_->cycles_) return;
   if (clock_->cycles_ <= wake_until_) return;  // recent wake holds us awake
   parked_ = true;
   clock_->NoteEvalStatus(this);
@@ -107,17 +91,14 @@ void Clock::PopDueTimers() {
 // arbitration scans are real host work: on a saturated best-effort mesh
 // every router wake-chains its downstream neighbours, and sweeping the
 // live words re-evaluated about half of them a second time per slot edge.
-void Clock::RunFlagged(const std::vector<std::uint64_t>& bits,
-                       bool per_module_stride) {
+void Clock::RunFlagged(const std::vector<std::uint64_t>& bits) {
   const std::size_t words = bits.size();
   for (std::size_t w = 0; w < words; ++w) {
     std::uint64_t chunk = bits[w];
     while (chunk != 0) {
       const int b = std::countr_zero(chunk);
       chunk &= chunk - 1;
-      Module* m = modules_[(w << 6) + static_cast<std::size_t>(b)];
-      if (per_module_stride && cycles_ % m->evaluate_stride_ != 0) continue;
-      m->Evaluate();
+      modules_[(w << 6) + static_cast<std::size_t>(b)]->Evaluate();
     }
   }
 }
@@ -138,24 +119,20 @@ void Clock::EvaluatePhase() {
   // allocation. The strided words are only copied on a boundary edge.
   eval_scratch_.assign(eval_every_bits_.begin(), eval_every_bits_.end());
   const bool strided_fire =
-      strided_uniform_ < 0 ||
-      (strided_uniform_ > 0 && cycles_ % strided_uniform_ == 0);
+      shared_stride_ > 0 && cycles_ % shared_stride_ == 0;
   if (strided_fire) {
     eval_scratch_strided_.assign(eval_strided_bits_.begin(),
                                  eval_strided_bits_.end());
   }
-  RunFlagged(eval_scratch_, /*per_module_stride=*/false);
-  if (strided_fire) {
-    RunFlagged(eval_scratch_strided_,
-               /*per_module_stride=*/strided_uniform_ < 0);
-  }
+  RunFlagged(eval_scratch_);
+  if (strided_fire) RunFlagged(eval_scratch_strided_);
   if (profile_ != nullptr) profile_->evaluate_sec += SecondsSince(t1);
 }
 
 // Commit dispatch over the contiguous pending bitmap: the scan touches a
 // few cache lines instead of every module's dirty list (zero words are
-// skipped 64 modules at a time), and the virtual Commit() call happens
-// only for modules with staged state (or a declared Commit override).
+// skipped 64 modules at a time), and only modules with staged registers
+// are visited.
 void Clock::CommitPhase() {
   if (profile_ != nullptr) {
     const auto t0 = std::chrono::steady_clock::now();
@@ -169,24 +146,11 @@ void Clock::CommitPhase() {
 void Clock::CommitSweep() {
   const std::size_t words = commit_bits_.size();
   for (std::size_t w = 0; w < words; ++w) {
-    std::uint64_t chunk = commit_bits_[w];
+    std::uint64_t chunk = std::exchange(commit_bits_[w], 0);
     while (chunk != 0) {
       const int b = std::countr_zero(chunk);
-      const std::uint64_t bit = chunk & (~chunk + 1);
       chunk &= chunk - 1;
-      Module* m = modules_[(w << 6) + static_cast<std::size_t>(b)];
-      if (m->always_commit_) {
-        m->Commit();  // overridden Commit(): must stay a virtual call
-        continue;     // bit stays set: commits every edge
-      }
-      if (m->commit_due_ > cycles_) {
-        continue;  // every dirty element matures at a known future edge
-      }
-      // Clear before committing: any element re-armed from inside the
-      // commit (self re-arm or a cross-module ArmAt) goes through
-      // AddDirty/AddDirtyAt, which sets the live bit again.
-      commit_bits_[w] &= ~bit;
-      m->CommitDirty();
+      modules_[(w << 6) + static_cast<std::size_t>(b)]->CommitDirty();
     }
   }
 }
@@ -249,11 +213,9 @@ Picoseconds Kernel::Step() {
     Clock* c = clocks_.front().get();
     const Picoseconds t = c->next_edge_ps_;
     if (gating()) {
-      // Parked / no-op / off-stride modules skip Evaluate only. Every
-      // module still reaches the commit phase so state staged into it
-      // (register writes, synchronizer traffic) lands at exactly the same
-      // edge as on the naïve path; the virtual Commit() call is elided for
-      // modules with nothing staged.
+      // Parked / no-op / off-stride modules skip Evaluate only. Registers
+      // staged into any module, parked or not, commit at exactly the same
+      // edge as on the naïve path.
       c->EvaluatePhase();
       c->CommitPhase();
     } else if (profiling_) {
@@ -262,11 +224,11 @@ Picoseconds Kernel::Step() {
       const auto t1 = std::chrono::steady_clock::now();
       profile_data_.evaluate_sec +=
           std::chrono::duration<double>(t1 - t0).count();
-      for (Module* m : c->modules_) m->Commit();
+      for (Module* m : c->modules_) m->CommitAll();
       profile_data_.commit_sec += SecondsSince(t1);
     } else {
       for (Module* m : c->modules_) m->Evaluate();
-      for (Module* m : c->modules_) m->Commit();
+      for (Module* m : c->modules_) m->CommitAll();
     }
     c->cycles_ += 1;
     c->next_edge_ps_ += c->period_ps_;
@@ -302,9 +264,8 @@ Picoseconds Kernel::Step() {
       for (Module* m : c->modules_) m->Evaluate();
     }
   }
-  // Phase 2: commit. Every module reaches the commit phase — parked ones
-  // too — so staged state always lands at the same edge as on the naïve
-  // path; on the gated engine the virtual call is elided when clean.
+  // Phase 2: commit. Registers staged into parked modules commit too, so
+  // staged state always lands at the same edge as on the naïve path.
   const bool time_naive_commit = profiling_ && !gating();
   std::chrono::steady_clock::time_point commit_t0;
   if (time_naive_commit) commit_t0 = std::chrono::steady_clock::now();
@@ -312,7 +273,7 @@ Picoseconds Kernel::Step() {
     if (gating()) {
       c->CommitPhase();
     } else {
-      for (Module* m : c->modules_) m->Commit();
+      for (Module* m : c->modules_) m->CommitAll();
     }
     c->cycles_ += 1;
     c->next_edge_ps_ += c->period_ps_;

@@ -8,13 +8,16 @@
 // Semantics (see DESIGN.md §6):
 //  * At every instant where one or more clocks have a rising edge, the
 //    kernel first calls Evaluate() on ALL modules of ALL firing clocks,
-//    then Commit() on all of them. Evaluate() may only read *committed*
-//    state (registers, FIFO contents) and stage updates; Commit() applies
-//    staged updates. Results are therefore independent of module iteration
-//    order, exactly like synchronous RTL.
+//    then runs the commit phase for all of them. Evaluate() may only read
+//    *committed* state (registers, FIFO contents) and stage updates; the
+//    commit phase applies staged register writes. Results are therefore
+//    independent of module iteration order, exactly like synchronous RTL.
 //  * Clocks firing at the same instant are processed together (one
 //    evaluate phase, one commit phase) so cross-domain state elements see a
 //    consistent picture.
+//  * Queues and wires need no commit: they stamp what they hold with the
+//    edge it becomes visible at (sim/cdc_fifo.h, link/wire.h), and the
+//    router commits its own input queues.
 //
 // Performance machinery (see DESIGN.md §7): the steady-state hot path makes
 // zero heap allocations per edge.
@@ -22,16 +25,15 @@
 //    multi-clock SoC keeps its clocks in a preallocated next-edge min-heap,
 //    so Step() never scans all clocks and RunUntil() never rescans what
 //    Step() is about to compute.
-//  * Dirty-list commit: state elements report staging via MarkDirty(); the
-//    default Commit() applies only the elements actually written this edge
-//    instead of walking every registered TwoPhase.
-//  * Idle-module gating: a module with no staged state and no pending work
-//    may Park() itself; parked modules are skipped in the evaluate phase
-//    until a wire drive, queue push, credit return, or register write
-//    Wake()s them. Commit still runs for parked modules (constant time when
-//    clean) so staged state always lands at the exact naïve-path edge.
+//  * Dirty-list commit: registers report staging via MarkDirty(); the
+//    commit phase applies only the registers actually written this edge,
+//    visiting only modules whose bit is set in a per-clock bitmap.
+//  * Idle-module gating: a module with no pending work may Park() itself;
+//    parked modules are skipped in the evaluate phase until a wire drive,
+//    queue push, credit return, or register write Wake()s them. Staged
+//    registers still commit at the exact naïve-path edge.
 //  * Engine selection (sim/engine.h): kNaive disables gating and dirty
-//    commits (every module runs every edge, every element commits every
+//    commits (every module runs every edge, every register commits every
 //    edge) so the gated engine can be cross-checked for identical results;
 //    kGated gates with flat per-clock activity bitmaps scanned 64 modules
 //    per word, so idle stretches of a large mesh cost a few cache lines per
@@ -43,7 +45,6 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
-#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -73,13 +74,9 @@ struct EngineProfile {
 
 /// A state element with staged updates applied at the clock edge.
 ///
-/// Elements participating in dirty-list commits must call MarkDirty() every
-/// time state is staged. An element whose Commit() leaves work pending for
-/// future edges (e.g. a synchronizer with words still in flight) must
-/// re-arm from inside Commit(): with MarkDirty() if the pending work needs
-/// the very next edge, or with MarkDirtyAt(due) if the edge at which the
-/// work matures is known in advance (the commit sweep then skips the module
-/// entirely until that edge).
+/// Elements call MarkDirty() every time state is staged, so the gated
+/// engine commits only the elements written this edge. Commit() applies the
+/// staged value and must not stage state itself.
 class TwoPhase {
  public:
   virtual ~TwoPhase() = default;
@@ -90,17 +87,6 @@ class TwoPhase {
   /// the owner if it is parked). No-op when not registered to a module.
   void MarkDirty();
 
-  /// Schedules this element for commit at edge `due` of the owner's clock.
-  /// Unlike MarkDirty() this does NOT wake the owner: a future-due element
-  /// is bookkeeping in flight, not work the owner could react to yet.
-  /// Commit() runs at the first edge >= the earliest due over the owner's
-  /// dirty elements, so an element re-armed this way must tolerate being
-  /// committed earlier than `due` (and simply find nothing mature).
-  void MarkDirtyAt(Cycle due);
-
-  /// The module this element is registered to (null before RegisterState).
-  Module* owner() const { return owner_; }
-
  private:
   friend class Module;
   Module* owner_ = nullptr;
@@ -110,9 +96,8 @@ class TwoPhase {
 /// Base class for all clocked hardware models.
 ///
 /// Subclasses implement Evaluate() (combinational + staging of next state)
-/// and register their state elements with RegisterState() so the default
-/// Commit() applies them. Commit() can be overridden for extra work but must
-/// call Module::Commit().
+/// and register their state elements with RegisterState(); the commit
+/// phase applies them.
 class Module {
  public:
   explicit Module(std::string name) : name_(std::move(name)) {}
@@ -124,19 +109,14 @@ class Module {
   /// Phase 1: read committed state, stage updates. Called once per edge.
   virtual void Evaluate() = 0;
 
-  /// Phase 2: apply staged updates. Default commits registered state (the
-  /// dirty subset, or all of it when optimizations are off).
-  virtual void Commit() { CommitState(); }
-
   const std::string& name() const { return name_; }
 
   /// The clock this module is registered on (null until registered).
   Clock* clock() const { return clock_; }
 
   /// This module's slot in its clock's registration order — which is also
-  /// the order of the commit sweep. Cross-module latches that are sensitive
-  /// to commit order (the CDC synchronizers) key their edge arithmetic off
-  /// this. -1 until registered.
+  /// the order of the commit sweep. The CDC queues derive their
+  /// same-clock synchronizer delay from it. -1 until registered.
   int clock_index() const { return clock_index_; }
 
   /// Number of edges this module's clock has seen since simulation start.
@@ -155,15 +135,10 @@ class Module {
  protected:
   void RegisterState(TwoPhase* element);
 
-  /// Commits staged state. With optimizations on, only elements marked
-  /// dirty since their last commit are applied; otherwise every registered
-  /// element is walked (the naïve reference behaviour).
-  void CommitState();
-
-  /// Requests gating out of the evaluate sweep. Granted only when optimizations are
-  /// on, no state element is dirty, and no Wake() hold is active. A parked
-  /// module skips Evaluate() until the next Wake(); its Commit() still runs
-  /// every edge (constant time while nothing is staged).
+  /// Requests gating out of the evaluate sweep. Granted only on the gated
+  /// engine and when no Wake() hold is active (staging a register holds
+  /// its owner through the commit). A parked module skips Evaluate() until
+  /// the next Wake(); registers staged into it still commit on time.
   void Park();
 
   /// Park() plus a scheduled wake: if parking is granted, the clock's timer
@@ -174,62 +149,41 @@ class Module {
 
   /// Declares that Evaluate() is an unconditional no-op, so the gated
   /// engine drops this module from the evaluate sweep entirely (NI ports:
-  /// pure commit machinery). The naïve path still calls it.
+  /// they only own registers). The naïve path still calls it.
   void SetEvaluateIsNoop();  // inline below (needs the complete Clock type)
 
   /// Declares that Evaluate() does nothing except on cycles where
   /// CycleCount() % stride == 0 (slot-granular modules: routers, NI
-  /// kernels). The gated engine then calls it only on those cycles.
+  /// kernels). The gated engine then calls it only on those cycles. All
+  /// strided modules of one clock share one stride.
   void SetEvaluateStride(int stride);  // inline below
-
-  /// Declares that Commit() is exactly the default (commit registered
-  /// state, nothing else), allowing the gated engine to skip the call
-  /// entirely on edges where no state element is dirty. Modules that
-  /// override Commit() with extra work must not set this.
-  void SetDefaultCommitOnly() { always_commit_ = false; }
 
  private:
   friend class Clock;
   friend class Kernel;
   friend class TwoPhase;
   void AddDirty(TwoPhase* element);  // inline below
-  void AddDirtyAt(TwoPhase* element, Cycle due);
 
-  /// commit_due_ value meaning "no dirty element has a known due edge".
-  static constexpr Cycle kNeverDue = std::numeric_limits<Cycle>::max();
-
-  /// The commit sweep's fast path for SetDefaultCommitOnly() modules: by
-  /// declaration their Commit() is exactly CommitState(), and on the
-  /// gated engine CommitState() is exactly this dirty walk — so the
-  /// sweep can call it directly, skipping two virtual hops per module per
-  /// edge. Resets commit_due_ first: elements that still have future work
-  /// re-arm with their next due during the walk.
+  /// The gated commit: applies the registers staged since the last commit.
   void CommitDirty() {
-    commit_due_ = kNeverDue;
-    if (dirty_.empty()) return;
-    dirty_scratch_.swap(dirty_);
-    for (TwoPhase* s : dirty_scratch_) {
+    for (TwoPhase* s : dirty_) {
       s->dirty_ = false;
       s->Commit();
     }
-    dirty_scratch_.clear();
+    dirty_.clear();
   }
+
+  /// The naïve reference commit: applies every registered element.
+  void CommitAll();
 
   std::string name_;
   std::vector<TwoPhase*> state_;
   std::vector<TwoPhase*> dirty_;
-  std::vector<TwoPhase*> dirty_scratch_;
   Clock* clock_ = nullptr;
   int clock_index_ = -1;  // slot in the clock's module / pending arrays
   bool parked_ = false;
   bool evaluate_noop_ = false;
-  bool always_commit_ = true;
   int evaluate_stride_ = 1;
-  // Earliest edge at which a dirty element needs its Commit(). 0 ("due
-  // now") whenever anything was staged via MarkDirty(); a future edge when
-  // every dirty element re-armed via MarkDirtyAt(); kNeverDue when clean.
-  // The commit sweep skips default-commit modules until this edge.
-  Cycle commit_due_ = 0;
   Cycle wake_until_ = -1;  // Park() suppressed while cycles() <= this
 };
 
@@ -253,9 +207,9 @@ class Clock {
       eval_every_bits_.push_back(0);
       eval_strided_bits_.push_back(0);
     }
-    // Pending until first commit recomputes it (safe for pre-registration
-    // staged state).
-    SetBit(commit_bits_, i, true);
+    // Registers staged before registration commit at the first edge.
+    SetBit(commit_bits_, i, !module->dirty_.empty());
+    NoteStride(module->evaluate_stride_);
     NoteEvalStatus(module);
   }
 
@@ -286,18 +240,18 @@ class Clock {
       SetBit(eval_strided_bits_, i, false);
       return;
     }
-    if (m->evaluate_stride_ == 1) {
-      SetBit(eval_every_bits_, i, true);
-      SetBit(eval_strided_bits_, i, false);
-    } else {
-      SetBit(eval_every_bits_, i, false);
-      SetBit(eval_strided_bits_, i, true);
-      if (strided_uniform_ == 0) {
-        strided_uniform_ = m->evaluate_stride_;
-      } else if (strided_uniform_ != m->evaluate_stride_) {
-        strided_uniform_ = -1;  // mixed strides: check per module
-      }
-    }
+    const bool strided = m->evaluate_stride_ != 1;
+    SetBit(eval_every_bits_, i, !strided);
+    SetBit(eval_strided_bits_, i, strided);
+  }
+
+  /// Adopts a module's evaluate stride as the clock's strided-sweep period.
+  void NoteStride(int stride) {
+    if (stride == 1) return;
+    AETHEREAL_CHECK_MSG(shared_stride_ == 0 || shared_stride_ == stride,
+                        name_ << ": evaluate strides " << shared_stride_
+                              << " and " << stride << " on one clock");
+    shared_stride_ = stride;
   }
 
   static void SetBit(std::vector<std::uint64_t>& bits, std::size_t i,
@@ -311,8 +265,7 @@ class Clock {
   }
 
   void EvaluatePhase();      // kGated: activity-bitmap sweep
-  void RunFlagged(const std::vector<std::uint64_t>& bits,
-                  bool per_module_stride);
+  void RunFlagged(const std::vector<std::uint64_t>& bits);
   void PopDueTimers();
   void CommitPhase();
   void CommitSweep();        // the bitmap dispatch of CommitPhase
@@ -343,14 +296,14 @@ class Clock {
   // loads per edge plus work proportional to the number of *active*
   // modules. Maintained incrementally by NoteEvalStatus / AddDirty; bit
   // order equals registration order, so sweep order is unchanged.
-  std::vector<std::uint64_t> commit_bits_;
+  std::vector<std::uint64_t> commit_bits_;       // registers staged
   std::vector<std::uint64_t> eval_every_bits_;   // unparked, stride 1
   std::vector<std::uint64_t> eval_strided_bits_; // unparked, stride > 1
   // Phase-start snapshots the evaluate sweep iterates (EvaluatePhase):
   // mid-sweep wakes mutate the live words above, not the working set.
   std::vector<std::uint64_t> eval_scratch_;
   std::vector<std::uint64_t> eval_scratch_strided_;
-  int strided_uniform_ = 0;  // shared stride over ALL strided modules ever
+  int shared_stride_ = 0;  // the strided modules' stride (0: none yet)
   EngineProfile* profile_ = nullptr;  // set while the kernel profiles
 };
 
@@ -442,12 +395,14 @@ inline void Module::SetEvaluateIsNoop() {
 inline void Module::SetEvaluateStride(int stride) {
   AETHEREAL_CHECK(stride >= 1 && stride <= 255);
   evaluate_stride_ = stride;
-  if (clock_ != nullptr) clock_->NoteEvalStatus(this);
+  if (clock_ != nullptr) {
+    clock_->NoteStride(stride);
+    clock_->NoteEvalStatus(this);
+  }
 }
 
 inline void Module::AddDirty(TwoPhase* element) {
   dirty_.push_back(element);
-  commit_due_ = 0;
   if (clock_ != nullptr) {
     Clock::SetBit(clock_->commit_bits_,
                   static_cast<std::size_t>(clock_index_), true);
@@ -457,39 +412,10 @@ inline void Module::AddDirty(TwoPhase* element) {
   Wake(1);
 }
 
-inline void Module::AddDirtyAt(TwoPhase* element, Cycle due) {
-  dirty_.push_back(element);
-  if (due < commit_due_) commit_due_ = due;
-  if (clock_ != nullptr) {
-    Clock::SetBit(clock_->commit_bits_,
-                  static_cast<std::size_t>(clock_index_), true);
-  }
-  // Deliberately no Wake(): a future-due element is synchronizer traffic in
-  // flight, not state the module could evaluate against yet. Whoever makes
-  // the traffic visible (the element's own Commit at the due edge) is
-  // responsible for waking the parties that can then act on it.
-}
-
 inline void TwoPhase::MarkDirty() {
-  if (owner_ == nullptr) return;
-  if (!dirty_) {
-    dirty_ = true;
-    owner_->AddDirty(this);
-  } else if (owner_->commit_due_ != 0) {
-    // Already listed, but possibly only for a future edge: pull the
-    // owner's next commit forward to the coming edge.
-    owner_->commit_due_ = 0;
-  }
-}
-
-inline void TwoPhase::MarkDirtyAt(Cycle due) {
-  if (owner_ == nullptr) return;
-  if (!dirty_) {
-    dirty_ = true;
-    owner_->AddDirtyAt(this, due);
-  } else if (due < owner_->commit_due_) {
-    owner_->commit_due_ = due;
-  }
+  if (owner_ == nullptr || dirty_) return;
+  dirty_ = true;
+  owner_->AddDirty(this);
 }
 
 }  // namespace aethereal::sim

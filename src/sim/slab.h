@@ -1,19 +1,14 @@
-// Flat storage for hot simulation state (structure-of-arrays data layout).
+// Fixed-capacity arena with stable element addresses.
 //
-// The gated engine's remaining cost at large meshes is pointer chasing:
-// routers, NI kernels, link wires and channel queues each lived in their own
-// heap allocation, so every evaluate/commit sweep hopped between cache lines
-// scattered across the heap. The SoA layout packs those objects into
-// contiguous slabs so sweeps over the dirty/active sets touch consecutive
-// memory (DESIGN.md §7).
-//
-// Slab<T> is the building block: a fixed-capacity placement-new arena whose
-// elements never move. That address stability is load-bearing — modules
-// register TwoPhase state elements (and wires register consumers) by
-// pointer at construction time, so the container must never relocate them
-// the way std::vector does on growth.
-#ifndef AETHEREAL_SIM_SOA_STATE_H
-#define AETHEREAL_SIM_SOA_STATE_H
+// Routers, NI kernels, their channels and the link wires are packed into
+// contiguous slabs, so the kernel's evaluate sweeps walk consecutive memory
+// instead of one heap allocation per object (DESIGN.md §7.3). The stable
+// addresses are load-bearing: modules register their registers by pointer,
+// wires hold raw pointers to their consumers, and producers and consumers
+// hold raw pointers to their wires, so the container must never relocate
+// elements the way std::vector does on growth.
+#ifndef AETHEREAL_SIM_SLAB_H
+#define AETHEREAL_SIM_SLAB_H
 
 #include <cstddef>
 #include <new>
@@ -94,4 +89,4 @@ class Slab {
 
 }  // namespace aethereal::sim
 
-#endif  // AETHEREAL_SIM_SOA_STATE_H
+#endif  // AETHEREAL_SIM_SLAB_H

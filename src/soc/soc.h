@@ -25,7 +25,7 @@
 #include "shells/slave_shell.h"
 #include "sim/engine.h"
 #include "sim/kernel.h"
-#include "sim/soa_state.h"
+#include "sim/slab.h"
 #include "tdm/allocator.h"
 #include "topology/topology.h"
 #include "util/status.h"
@@ -201,9 +201,9 @@ class Soc {
   sim::Clock* net_clock_ = nullptr;
   std::map<std::int64_t, sim::Clock*> clock_by_period_;
 
-  // Hot hardware state lives in contiguous slabs (sim/soa_state.h): the
-  // kernel's evaluate/commit sweeps then walk consecutive memory instead of
-  // one heap allocation per router/NI/link.
+  // Hot hardware state lives in contiguous slabs (sim/slab.h): the
+  // kernel's evaluate sweeps then walk consecutive memory instead of one
+  // heap allocation per router/NI/link.
   sim::Slab<router::Router> routers_;
   sim::Slab<core::NiKernel> nis_;
   std::unique_ptr<link::WirePool> links_;

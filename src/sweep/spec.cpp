@@ -660,6 +660,7 @@ Result<SweepSpec> ParseSweep(
         return ParseError(line.number, "saturate bound must be > 0");
       }
       spec.saturation.enabled = true;
+      spec.saturation.line = line.number;
       spec.saturation.param = *param;
       spec.saturation.lo = *lo;
       spec.saturation.hi = *hi;
@@ -704,7 +705,8 @@ Result<SweepSpec> ParseSweep(
       if (Status s = ApplyParam(spec.saturation.param,
                                 FormatDouble(endpoint), &probe);
           !s.ok()) {
-        return InvalidArgumentError("saturate endpoint: " + s.message());
+        return ParseError(spec.saturation.line,
+                          "saturate endpoint: " + s.message());
       }
     }
   }

@@ -134,6 +134,7 @@ struct SaturationSpec {
   std::string metric;    // "mean" | "p99" | "max"
   double bound = 0;      // cycles
   int iters = 8;         // bisection steps after probing both endpoints
+  int line = 0;          // source line (diagnostics only)
 };
 
 struct SweepSpec {

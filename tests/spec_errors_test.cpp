@@ -117,6 +117,21 @@ TEST(SpecErrorsTest, SweepRouterRadixAbove32) {
   EXPECT_TRUE(ok.ok()) << ok.status();
 }
 
+TEST(SpecErrorsTest, SweepSaturateEndpointNamesItsLine) {
+  const auto load_base = [](const std::string&) {
+    return ParseScenario("noc star 4\ntraffic uniform\n");
+  };
+  auto sweep = sweep::ParseSweep(
+      "sweep s\nbase b.scn\nsaturate rate 0 1 p99 100\n", load_base);
+  ASSERT_FALSE(sweep.ok());
+  EXPECT_NE(sweep.status().message().find(
+                "saturate endpoint: rate must be in (0, 1]"),
+            std::string::npos)
+      << sweep.status();
+  EXPECT_NE(sweep.status().message().find("line 3"), std::string::npos)
+      << sweep.status();
+}
+
 TEST(SpecErrorsTest, OutOfRangeScalars) {
   ExpectError("noc star 0\ntraffic uniform\n", "star needs 1..", 1);
   ExpectError("noc star 9999\ntraffic uniform\n", "star needs 1..", 1);
