@@ -18,7 +18,7 @@ using link::PacketHeader;
 
 NiPort::NiPort(std::string name, NiKernel* kernel)
     : sim::Module(std::move(name)), kernel_(kernel) {
-  SetEvaluateIsNoop();  // ports only own the flush-request registers
+  SetEvaluateIsNoop();  // ports only clock the flush-request registers
 }
 
 bool NiPort::CanWrite(int connid, int words) const {
@@ -61,15 +61,16 @@ void NiPort::FlushData(int connid) {
   AETHEREAL_CHECK(connid >= 0 && connid < NumChannels());
   auto& ch = kernel_->ChannelAt(channels_[static_cast<std::size_t>(connid)]);
   ch.data_flush_reqs.Set(ch.data_flush_reqs.Get() + 1);
-  // The request register wakes the kernel when it commits on the port
-  // clock (see FlushRequestRegister) — exactly when the value becomes
-  // harvestable, regardless of how slow the port clock is.
+  // The kernel then stays awake until it has harvested the request,
+  // however slow the port clock is (NiKernel::CanSleep).
+  kernel_->Wake();
 }
 
 void NiPort::FlushCredits(int connid) {
   AETHEREAL_CHECK(connid >= 0 && connid < NumChannels());
   auto& ch = kernel_->ChannelAt(channels_[static_cast<std::size_t>(connid)]);
   ch.credit_flush_reqs.Set(ch.credit_flush_reqs.Get() + 1);
+  kernel_->Wake();
 }
 
 ChannelId NiPort::GlobalChannelOf(int connid) const {
@@ -115,22 +116,16 @@ NiKernel::NiKernel(std::string name, NiId id, const NiKernelParams& params)
       AETHEREAL_CHECK(cp.source_queue_words > 0 && cp.dest_queue_words > 0);
       const auto flat = static_cast<ChannelId>(channels_.size());
       Channel* ch = channels_.Emplace(cp.source_queue_words,
-                                      cp.dest_queue_words);
+                                      cp.dest_queue_words, port.get());
       ch->port = static_cast<int>(p);
       ch->connid = static_cast<int>(port->channels_.size());
       ch->params = cp;
-      ch->data_flush_reqs.kernel = this;
-      ch->credit_flush_reqs.kernel = this;
       ch->source.SetSides(port.get(), this);
       ch->dest.SetSides(this, port.get());
-      // The flush-request signals are port-domain state.
-      port->RegisterState(&ch->data_flush_reqs);
-      port->RegisterState(&ch->credit_flush_reqs);
       port->channels_.push_back(flat);
     }
     ports_.push_back(std::move(port));
   }
-  RegisterState(&reg_apply_);
   SetEvaluateStride(kFlitWords);  // all work happens at slot boundaries
 }
 
@@ -182,11 +177,11 @@ Status NiKernel::WriteRegister(Word address, Word value) {
   if (reg > static_cast<Word>(regs::ChannelReg::kSlots)) {
     return NotFoundError("unknown channel register");
   }
-  pending_register_writes_.emplace_back(address, value);
-  // The write applies at the next commit phase even while parked (the
-  // RegApply element is armed); wake so the *scheduling* consequences
-  // (enable, slots, thresholds) are acted on from the next slot boundary.
-  reg_apply_.Arm();
+  // Applied once this edge ends (between steps: the next edge), before the
+  // first read after that; wake so the *scheduling* consequences (enable,
+  // slots, thresholds) are acted on from the next slot boundary.
+  pending_register_writes_.push_back(
+      PendingWrite{CycleCount(), address, value});
   Wake(kFlitWords + 1);
   return OkStatus();
 }
@@ -209,6 +204,7 @@ Result<Word> NiKernel::ReadRegister(Word address) const {
   if (chid >= static_cast<ChannelId>(channels_.size())) {
     return NotFoundError("channel register address out of range");
   }
+  SettleRegisterWrites();
   const Channel& ch = ChannelAt(chid);
   switch (static_cast<regs::ChannelReg>(reg)) {
     case regs::ChannelReg::kCtrl:
@@ -307,14 +303,20 @@ void NiKernel::ApplyRegisterWrite(Word address, Word value) {
 // ---------------------------------------------------------------------------
 
 const ChannelStats& NiKernel::channel_stats(ChannelId ch) const {
+  SettleRegisterWrites();
   return ChannelAt(ch).stats;
 }
-int NiKernel::SpaceOf(ChannelId ch) const { return ChannelAt(ch).space; }
+int NiKernel::SpaceOf(ChannelId ch) const {
+  SettleRegisterWrites();
+  return ChannelAt(ch).space;
+}
 int NiKernel::CreditsOwedOf(ChannelId ch) const {
+  SettleRegisterWrites();
   return ChannelAt(ch).credits_owed;
 }
 ChannelId NiKernel::SlotOwner(SlotIndex slot) const {
   AETHEREAL_CHECK(slot >= 0 && slot < params_.stu_slots);
+  SettleRegisterWrites();
   return stu_[static_cast<std::size_t>(slot)];
 }
 SlotIndex NiKernel::CurrentSlot() const {
@@ -322,6 +324,7 @@ SlotIndex NiKernel::CurrentSlot() const {
                                 params_.stu_slots);
 }
 bool NiKernel::ChannelEnabled(ChannelId ch) const {
+  SettleRegisterWrites();
   return ChannelAt(ch).enabled;
 }
 
@@ -330,6 +333,7 @@ bool NiKernel::ChannelEnabled(ChannelId ch) const {
 // ---------------------------------------------------------------------------
 
 void NiKernel::Evaluate() {
+  SettleRegisterWrites();
   if (!IsSlotBoundary()) return;
   const Cycle slot_number = CycleCount() / kFlitWords;
   AccountIdleThrough(slot_number - 1);  // slots skipped while parked
@@ -370,7 +374,7 @@ void NiKernel::MaybeParkUntilGtSlot(Cycle slot_number) {
   if (be_open_channel_ != kInvalidId) return;
   if (!pending_register_writes_.empty()) return;
   for (const Channel& ch : channels_) {
-    if (ch.open_words_left > 0) return;
+    if (ch.open_words_left > 0 || FlushStaged(ch)) return;
     if (!ch.gt && Eligible(ch)) return;  // BE work is granted next free slot
   }
   for (Cycle d = 1; d <= params_.stu_slots; ++d) {
@@ -390,7 +394,7 @@ bool NiKernel::CanSleep() const {
   if (be_open_channel_ != kInvalidId) return false;
   if (!pending_register_writes_.empty()) return false;
   for (const Channel& ch : channels_) {
-    if (ch.open_words_left > 0) return false;
+    if (ch.open_words_left > 0 || FlushStaged(ch)) return false;
     if (Eligible(ch)) return false;
   }
   return true;
@@ -428,24 +432,28 @@ void NiKernel::AccountIdleThrough(Cycle last_slot) {
 const NiKernelStats& NiKernel::stats() {
   // Settle the idle accounting for any trailing parked window so counters
   // read mid- or post-run match the naïve engine exactly.
+  SettleRegisterWrites();
   if (clock() != nullptr && CycleCount() > 0) {
     AccountIdleThrough((CycleCount() - 1) / kFlitWords);
   }
   return stats_;
 }
 
-void NiKernel::RegApply::Commit() {
-  if (kernel_->pending_register_writes_.empty()) return;
-  // Settle the idle-accounting replay for any parked window *before* the
-  // writes change enable/slot-table state: the naïve engine walked those
-  // slots with the pre-write configuration.
-  if (kernel_->clock() != nullptr) {
-    kernel_->AccountIdleThrough(kernel_->CycleCount() / kFlitWords);
+void NiKernel::SettleRegisterWrites() const {
+  if (pending_register_writes_.empty()) return;
+  auto* self = const_cast<NiKernel*>(this);
+  auto& writes = self->pending_register_writes_;
+  const Cycle now = CycleCount();
+  std::size_t applied = 0;
+  for (; applied < writes.size() && writes[applied].stamp < now; ++applied) {
+    // Settle the idle-accounting replay for any parked window through the
+    // write's edge *before* the write changes enable/slot-table state: the
+    // naïve engine walked those slots with the pre-write configuration.
+    self->AccountIdleThrough(writes[applied].stamp / kFlitWords);
+    self->ApplyRegisterWrite(writes[applied].address, writes[applied].value);
   }
-  for (const auto& [address, value] : kernel_->pending_register_writes_) {
-    kernel_->ApplyRegisterWrite(address, value);
-  }
-  kernel_->pending_register_writes_.clear();
+  writes.erase(writes.begin(),
+               writes.begin() + static_cast<std::ptrdiff_t>(applied));
 }
 
 bool NiKernel::ReceiveFlit() {
@@ -517,13 +525,17 @@ bool NiKernel::HarvestCreditsAndFlushes() {
                           name() << ": credits owed exceed queue capacity");
       any = true;
     }
-    if (ch.data_flush_reqs.Get() > ch.data_flush_seen) {
+    // Latest() first: the visibility check reads the port clock, and no
+    // request is staged on almost every slot.
+    if (ch.data_flush_reqs.Latest() > ch.data_flush_seen &&
+        ch.data_flush_reqs.Get() > ch.data_flush_seen) {
       ch.data_flush_seen = ch.data_flush_reqs.Get();
       // Snapshot of the source-queue filling at flush time (paper §4.1).
       ch.flush_words_left = ch.source.ReaderSize();
       any = true;
     }
-    if (ch.credit_flush_reqs.Get() > ch.credit_flush_seen) {
+    if (ch.credit_flush_reqs.Latest() > ch.credit_flush_seen &&
+        ch.credit_flush_reqs.Get() > ch.credit_flush_seen) {
       ch.credit_flush_seen = ch.credit_flush_reqs.Get();
       ch.credit_flush = true;
       any = true;

@@ -137,12 +137,12 @@ class NiKernel : public sim::Module {
 
   // --- memory-mapped configuration (CNIP) ---------------------------------
 
-  /// Stages a register write; it takes effect at the next network-clock
-  /// edge (reads in later cycles observe it). Address validity is checked
-  /// now; value validity is checked at apply time.
+  /// Stages a register write; it takes effect when the current
+  /// network-clock edge ends (reads in later cycles observe it). Address
+  /// validity is checked now; value validity is checked at apply time.
   Status WriteRegister(Word address, Word value);
 
-  /// Reads a committed register value.
+  /// Reads a register value as of the current edge.
   Result<Word> ReadRegister(Word address) const;
 
   // --- introspection for tests / benches ----------------------------------
@@ -152,7 +152,7 @@ class NiKernel : public sim::Module {
   const NiKernelStats& stats();
   const ChannelStats& channel_stats(ChannelId ch) const;
   int NumChannels() const { return static_cast<int>(channels_.size()); }
-  /// Committed queue fills (the CDC reader-side sizes) — what a read-only
+  /// Visible queue fills (the CDC reader-side sizes) — what a read-only
   /// observer may sample without perturbing anything (obs/tap.h).
   int SourceQueueWords(ChannelId ch) const {
     return ChannelAt(ch).source.ReaderSize();
@@ -179,21 +179,13 @@ class NiKernel : public sim::Module {
  private:
   friend class NiPort;
 
-  /// Applies pending configuration-register writes at the clock edge, so
-  /// the commit phase visits the kernel only on edges with writes staged.
-  class RegApply : public sim::TwoPhase {
-   public:
-    explicit RegApply(NiKernel* kernel) : kernel_(kernel) {}
-    void Commit() override;
-    void Arm() { MarkDirty(); }
-
-   private:
-    NiKernel* kernel_;
-  };
-
   struct Channel {
-    Channel(int source_queue_words, int dest_queue_words)
-        : source(source_queue_words), dest(dest_queue_words) {}
+    Channel(int source_queue_words, int dest_queue_words,
+            const NiPort* owner)
+        : source(source_queue_words),
+          dest(dest_queue_words),
+          data_flush_reqs(owner, 0),
+          credit_flush_reqs(owner, 0) {}
 
     // Design-time.
     int port = 0;
@@ -219,22 +211,14 @@ class NiKernel : public sim::Module {
     int flush_words_left = 0;    // flush snapshot still to send
     bool credit_flush = false;
     // Flush request signals crossing from the port domain: monotonic
-    // counters committed on the port clock (registered as port state); the
-    // kernel compares them against its "seen" counters. This keeps the
-    // two-phase order-independence guarantee across domains. The register
-    // wakes the kernel when it commits — the staging-time wake alone is
-    // not enough, because on a slow port clock the commit can land after
-    // the wake hold has expired and the kernel has re-parked.
-    struct FlushRequestRegister : sim::Register<std::int64_t> {
-      FlushRequestRegister() : sim::Register<std::int64_t>(0) {}
-      NiKernel* kernel = nullptr;
-      void Commit() override {
-        sim::Register<std::int64_t>::Commit();
-        if (kernel != nullptr) kernel->Wake(kFlitWords + 1);
-      }
-    };
-    FlushRequestRegister data_flush_reqs;
-    FlushRequestRegister credit_flush_reqs;
+    // counters stamped on the port clock; the kernel compares them against
+    // its "seen" counters, so a request is harvested at the first slot
+    // after the port edge that raised it, whatever the module order. The
+    // kernel does not park while a request is staged but not yet harvested
+    // (FlushStaged): on a slow port clock the request can become visible
+    // long after the staging-time wake.
+    sim::Register<std::int64_t> data_flush_reqs;
+    sim::Register<std::int64_t> credit_flush_reqs;
     std::int64_t data_flush_seen = 0;
     std::int64_t credit_flush_seen = 0;
     ChannelStats stats;
@@ -256,6 +240,17 @@ class NiKernel : public sim::Module {
   ChannelId ArbitrateBe();
   int GtRunWords(ChannelId ch, SlotIndex slot) const;
   void ApplyRegisterWrite(Word address, Word value);
+  /// Applies, in order, the staged register writes whose network-clock
+  /// edge has ended. Runs at the start of Evaluate() and in every accessor
+  /// that reads configuration. Const because settling changes nothing a
+  /// caller can observe: which writes apply is a function of their stamps
+  /// and the current edge, as for the lazily settled CdcFifo accessors.
+  void SettleRegisterWrites() const;
+  /// True while a flush request of `ch` is staged but not yet harvested.
+  static bool FlushStaged(const Channel& ch) {
+    return ch.data_flush_reqs.Latest() > ch.data_flush_seen ||
+           ch.credit_flush_reqs.Latest() > ch.credit_flush_seen;
+  }
   /// True when no channel has pending or schedulable work, so Evaluate()
   /// would remain a no-op until an external event (which always Wake()s us).
   bool CanSleep() const;
@@ -269,9 +264,9 @@ class NiKernel : public sim::Module {
 
   NiId id_;
   NiKernelParams params_;
-  // Channels live in a contiguous fixed-capacity slab: their flush
-  // registers are registered as state by address, so they must never move
-  // (sim/slab.h).
+  // Channels live in one contiguous slab, sized once at construction, so
+  // the per-slot channel walk (harvest, schedule, eligibility) stays within
+  // one allocation (sim/slab.h).
   sim::Slab<Channel> channels_;
   std::vector<std::unique_ptr<NiPort>> ports_;
   std::vector<ChannelId> stu_;  // slot -> owning channel (or kInvalidId)
@@ -296,8 +291,14 @@ class NiKernel : public sim::Module {
   // slot whose idle stats were accounted).
   Cycle last_accounted_slot_ = -1;
 
-  std::vector<std::pair<Word, Word>> pending_register_writes_;
-  RegApply reg_apply_{this};
+  // Staged register writes in staging order, each stamped with the
+  // network-clock edge whose end applies it.
+  struct PendingWrite {
+    Cycle stamp;
+    Word address;
+    Word value;
+  };
+  std::vector<PendingWrite> pending_register_writes_;
   NiKernelStats stats_;
   fault::FaultInjector* fault_ = nullptr;
 };

@@ -13,7 +13,7 @@
 //  * CreditWire — the backward link-level credit-return pulse used by the
 //    best-effort input buffers (0 when undriven).
 //
-// Wires need no commit (DESIGN.md §7.2): each keeps two latches indexed by
+// Wires are stamped (DESIGN.md §4): each keeps two latches indexed by
 // slot parity, stamped with the slot that drove them. A drive in slot s
 // writes latch s & 1; a sample in slot s reads latch (s - 1) & 1 and sees
 // idle unless its stamp is s - 1. Producer and consumer touch different
@@ -140,8 +140,8 @@ struct LinkWires {
 };
 
 /// Flat storage for the wire bundles of every link of a NoC (DESIGN.md
-/// §7.3): a contiguous slab on the network clock. It is not a module —
-/// wires need no commit — so links cost nothing per edge. The slab has a
+/// §7.2): a contiguous slab on the network clock. It is not a module —
+/// wires are stamped — so links cost nothing per edge. The slab has a
 /// fixed capacity so LinkWires addresses stay stable: producers and
 /// consumers keep raw pointers to them.
 class WirePool {

@@ -4,11 +4,10 @@
 // is registered on the network clock BEFORE any NoC hardware, samples
 // only settled state (link wires via Sample(), which returns the value
 // driven last slot; CDC queue fills via their reader sizes, which no
-// evaluation order can change within an edge), registers no TwoPhase
-// state, and never stages anything — so arming it cannot perturb the
-// simulation, and the counts it accumulates are identical on the naive
-// and gated engines (the committed-state trajectory is the engines'
-// byte-identity invariant).
+// evaluation order can change within an edge), and never stages
+// anything — so arming it cannot perturb the simulation, and the counts it
+// accumulates are identical on the naive and gated engines (the visible
+// state trajectory is the engines' byte-identity invariant).
 //
 // Per slot the tap classifies every link (GT flit / BE flit / idle /
 // credit return) into the hub's LinkCounters, records flit trace events

@@ -12,22 +12,23 @@
 // reader edge at which it is still invisible, Pop() stamps each freed word
 // with the last such writer edge, and each side reads the stamps against
 // its own clock's cycles(): a word is readable at reader edge r exactly
-// when its stamp < r. Nothing is staged, so the queue takes no part in the
-// commit phase, and the order in which modules evaluate cannot leak a word
-// early. Staging wakes the far side's module (and the read listener) with
-// a hold that lasts through the edge the stamp matures at, so a parked
-// party is running again when it can act.
+// when its stamp < r. Nothing is applied later, and the order in which
+// modules evaluate cannot leak a word early. Staging wakes the far side's
+// module (and the read listener) with a hold that lasts through the edge
+// the stamp matures at, so a parked party is running again when it can
+// act.
 //
-// The stamps are those of a two-phase synchronizer that hands a word over
-// when the near side commits its edge and delivers it when the far side
-// commits an edge with cycles() >= the stamp, where the stamp is the far
-// clock's cycles() at the hand-off plus kCdcSyncEdges - 1. That reference
-// makes the observed delay depend on commit order: a far side that commits
-// before the near side in the same edge sees the hand-off one edge later.
-// On one clock, commit order is registration order, resolved once into
+// The stamps are those of a reference synchronizer that hands a word over
+// as the near side's edge ends and delivers it as the far side ends an
+// edge with cycles() >= the stamp, where the stamp is the far clock's
+// cycles() at the hand-off plus kCdcSyncEdges - 1. The reference takes the
+// ends of coincident edges in a fixed order: on one clock, the modules'
+// registration order; across clocks, clock-id order, in which the clocks
+// advance. A far side whose edge ends first in that order sees the
+// hand-off one edge later. On one clock this is resolved once into
 // in_flight_delta_ / space_delta_. Across clocks, a far clock that fires in
 // the same instant with a lower id has already counted that edge when the
-// near side commits, which FarCyclesAtCommit() adds.
+// near side's edge ends, which FarCyclesAtEdgeEnd() adds.
 #ifndef AETHEREAL_SIM_CDC_FIFO_H
 #define AETHEREAL_SIM_CDC_FIFO_H
 
@@ -75,7 +76,8 @@ class CdcFifo {
   void Push(T value) {
     AETHEREAL_CHECK_MSG(CanPush(), "CdcFifo overflow");
     if (wclock_ == nullptr) Resolve();
-    const Cycle stamp = FarCyclesAtCommit(wclock_, rclock_) + in_flight_delta_;
+    const Cycle stamp =
+        FarCyclesAtEdgeEnd(wclock_, rclock_) + in_flight_delta_;
     entries_.push_back(Entry{std::move(value), stamp});
     ++writer_occupancy_;
     // Readable from reader edge stamp + 1 on: hold both parties awake
@@ -132,7 +134,7 @@ class CdcFifo {
       popped_ = 0;
     }
     ++popped_;
-    const Cycle stamp = FarCyclesAtCommit(rclock_, wclock_) + space_delta_;
+    const Cycle stamp = FarCyclesAtEdgeEnd(rclock_, wclock_) + space_delta_;
     freed_stamps_.push_back(stamp);
     writer_->Wake(stamp + 1 - wclock_->cycles());
     return value;
@@ -150,7 +152,7 @@ class CdcFifo {
     Cycle stamp = 0;  // last reader edge at which the word is invisible
   };
 
-  /// Fixes the two clocks and the same-clock commit-order deltas (see the
+  /// Fixes the two clocks and the same-clock edge-end-order deltas (see the
   /// file comment). Runs at the first Push(); every other member that
   /// reads a clock only does so once a word has been pushed.
   void Resolve() {
@@ -170,10 +172,10 @@ class CdcFifo {
         ((same && writer_->clock_index() < reader_->clock_index()) ? 1 : 0);
   }
 
-  /// `far`'s cycles() as seen when `near` commits the edge the caller is
-  /// evaluating (between steps: `near`'s next edge), with coincident edges
-  /// committed in clock-id order.
-  static Cycle FarCyclesAtCommit(const Clock* near, const Clock* far) {
+  /// `far`'s cycles() as seen when the `near` edge the caller is evaluating
+  /// ends (between steps: `near`'s next edge), with the clocks of
+  /// coincident edges advancing in clock-id order.
+  static Cycle FarCyclesAtEdgeEnd(const Clock* near, const Clock* far) {
     Cycle cycles = far->cycles();
     if (far == near) return cycles;
     const Picoseconds at = near->next_edge_ps();

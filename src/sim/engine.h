@@ -4,16 +4,19 @@
 // (proven by tests/engine_determinism_test.cpp) at different simulation
 // speeds:
 //
-//  * kNaive — the reference semantics: every module evaluates and every
-//             state element commits on every edge. Slow, obviously
-//             correct; the baseline the gated engine is checked against.
-//  * kGated — idle-module gating + dirty-list commits (DESIGN.md §7):
-//             parked modules drop out of flat per-clock activity bitmaps
-//             scanned 64 modules per word, so per-edge cost tracks
-//             *activity*, not instantiated hardware. The default.
+//  * kNaive — the reference semantics: every module evaluates on every
+//             edge. Slow, obviously correct; the baseline the gated engine
+//             is checked against.
+//  * kGated — idle-module gating (DESIGN.md §7): parked modules drop out
+//             of flat per-clock activity bitmaps scanned 64 modules per
+//             word, so per-edge cost tracks *activity*, not instantiated
+//             hardware. The default.
+//
+// The two differ only in which modules they evaluate: neither has a
+// commit phase, since every staged element is stamped (DESIGN.md §6).
 //
 // Both engines step on one thread. To use several cores, run independent
-// simulations side by side with `noc_sweep --jobs N` (DESIGN.md §7.7).
+// simulations side by side with `noc_sweep --jobs N` (DESIGN.md §7.6).
 //
 // EngineConfig is the engine-selection currency across the stack:
 // SocOptions, scenario specs (`engine naive|gated`), the sweep `engine`

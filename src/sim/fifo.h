@@ -1,13 +1,14 @@
-// Synchronous FIFO and register models with two-phase update semantics.
+// Synchronous FIFO and register models.
 //
-// Readers see only state committed at the previous clock edge; pushes,
-// pops and register writes staged during Evaluate() take effect at
-// Commit().
+// Readers see the state as it stood when the current edge began; pushes,
+// pops and register writes staged during Evaluate() become visible at a
+// later edge.
 //
-// A Register is TwoPhase state: staging marks it dirty, and the kernel's
-// commit phase applies it (DESIGN.md §7.2). A Fifo is not registered
-// anywhere: its one user, the router, commits the queues it touched itself
-// at the start of its next slot (DESIGN.md §6).
+// A Register stamps each staged value with its owner clock's edge count,
+// so the value shows once that edge has ended and nothing has to apply it
+// (DESIGN.md §6). A Fifo applies its staged pushes and pops in Commit(),
+// which its one user, the router, calls itself at the start of its next
+// slot for the queues it touched.
 #ifndef AETHEREAL_SIM_FIFO_H
 #define AETHEREAL_SIM_FIFO_H
 
@@ -86,25 +87,39 @@ class Fifo {
   int staged_pops_ = 0;
 };
 
-/// A register: Get() returns the value committed at the last edge; Set()
-/// stages the next value.
+/// A register owned by a module: Get() returns the value as it stood when
+/// the owner clock's current edge began; Set() stages the next value.
+///
+/// Set() stamps the staged value with the owner clock's cycles(), and the
+/// value is visible once cycles() > stamp: at the end of the edge being
+/// evaluated, or, for a Set() between steps, of the owner clock's next
+/// edge. Coincident clocks advance only after every module has evaluated,
+/// so a reader on any clock sees the same value whatever the module order.
+/// A second Set() in the same edge replaces the first.
 template <typename T>
-class Register : public TwoPhase {
+class Register {
  public:
-  Register() = default;
-  explicit Register(T reset) : value_(reset), next_(reset) {}
+  Register(const Module* owner, T reset)
+      : owner_(owner), value_(reset), next_(reset) {}
 
-  const T& Get() const { return value_; }
+  const T& Get() const { return Matured() ? next_ : value_; }
+
+  /// The value of the last Set(), visible yet or not.
+  const T& Latest() const { return next_; }
+
   void Set(T value) {
+    if (Matured()) value_ = next_;
     next_ = std::move(value);
-    MarkDirty();
+    stamp_ = owner_->CycleCount();
   }
 
-  void Commit() override { value_ = next_; }
-
  private:
-  T value_{};
-  T next_{};
+  bool Matured() const { return stamp_ < owner_->CycleCount(); }
+
+  const Module* owner_;
+  T value_;
+  T next_;
+  Cycle stamp_ = -1;  // owner edge whose end makes next_ visible
 };
 
 }  // namespace aethereal::sim

@@ -30,22 +30,6 @@ bool EdgeAfter(const Clock* a, const Clock* b) {
 // Module
 // ---------------------------------------------------------------------------
 
-void Module::RegisterState(TwoPhase* element) {
-  AETHEREAL_CHECK_MSG(element->owner_ == nullptr,
-                      name() << ": state element already registered");
-  element->owner_ = this;
-  state_.push_back(element);
-  // Keep the dirty list allocation-free at commit time.
-  dirty_.reserve(state_.size());
-}
-
-void Module::CommitAll() {
-  // The dirty bookkeeping is meaningless here; reset it so it cannot grow.
-  for (TwoPhase* s : dirty_) s->dirty_ = false;
-  dirty_.clear();
-  for (TwoPhase* s : state_) s->Commit();
-}
-
 void Module::Park() {
   if (parked_) return;
   if (clock_ == nullptr || clock_->kernel_ == nullptr ||
@@ -87,7 +71,7 @@ void Clock::PopDueTimers() {
 // words themselves. A module woken mid-sweep by an earlier module's
 // Evaluate (a wire drive, a queue push) therefore runs at the NEXT edge —
 // its Evaluate this edge would be a proven no-op anyway (the inputs that
-// woke it are staged, not committed), but under contention those no-op
+// woke it only show at a later edge), but under contention those no-op
 // arbitration scans are real host work: on a saturated best-effort mesh
 // every router wake-chains its downstream neighbours, and sweeping the
 // live words re-evaluated about half of them a second time per slot edge.
@@ -129,30 +113,15 @@ void Clock::EvaluatePhase() {
   if (profile_ != nullptr) profile_->evaluate_sec += SecondsSince(t1);
 }
 
-// Commit dispatch over the contiguous pending bitmap: the scan touches a
-// few cache lines instead of every module's dirty list (zero words are
-// skipped 64 modules at a time), and only modules with staged registers
-// are visited.
-void Clock::CommitPhase() {
-  if (profile_ != nullptr) {
-    const auto t0 = std::chrono::steady_clock::now();
-    CommitSweep();
-    profile_->commit_sec += SecondsSince(t0);
+// The naïve reference sweep: every registered module, every edge.
+void Clock::EvaluateAll() {
+  if (profile_ == nullptr) {
+    for (Module* m : modules_) m->Evaluate();
     return;
   }
-  CommitSweep();
-}
-
-void Clock::CommitSweep() {
-  const std::size_t words = commit_bits_.size();
-  for (std::size_t w = 0; w < words; ++w) {
-    std::uint64_t chunk = std::exchange(commit_bits_[w], 0);
-    while (chunk != 0) {
-      const int b = std::countr_zero(chunk);
-      chunk &= chunk - 1;
-      modules_[(w << 6) + static_cast<std::size_t>(b)]->CommitDirty();
-    }
-  }
+  const auto t0 = std::chrono::steady_clock::now();
+  for (Module* m : modules_) m->Evaluate();
+  profile_->evaluate_sec += SecondsSince(t0);
 }
 
 // ---------------------------------------------------------------------------
@@ -212,26 +181,8 @@ Picoseconds Kernel::Step() {
   if (clocks_.size() == 1) {
     Clock* c = clocks_.front().get();
     const Picoseconds t = c->next_edge_ps_;
-    if (gating()) {
-      // Parked / no-op / off-stride modules skip Evaluate only. Registers
-      // staged into any module, parked or not, commit at exactly the same
-      // edge as on the naïve path.
-      c->EvaluatePhase();
-      c->CommitPhase();
-    } else if (profiling_) {
-      const auto t0 = std::chrono::steady_clock::now();
-      for (Module* m : c->modules_) m->Evaluate();
-      const auto t1 = std::chrono::steady_clock::now();
-      profile_data_.evaluate_sec +=
-          std::chrono::duration<double>(t1 - t0).count();
-      for (Module* m : c->modules_) m->CommitAll();
-      profile_data_.commit_sec += SecondsSince(t1);
-    } else {
-      for (Module* m : c->modules_) m->Evaluate();
-      for (Module* m : c->modules_) m->CommitAll();
-    }
-    c->cycles_ += 1;
-    c->next_edge_ps_ += c->period_ps_;
+    Evaluate(c);
+    c->Advance();
     now_ps_ = t;
     return t;
   }
@@ -248,38 +199,13 @@ Picoseconds Kernel::Step() {
     edge_heap_.pop_back();
   }
 
-  // Phase 1: evaluate everything before committing anything. On the
-  // gated engine, parked / no-op / off-stride modules are skipped (their
-  // Evaluate is a proven no-op).
-  if (gating()) {
-    for (Clock* c : firing_) c->EvaluatePhase();
-  } else if (profiling_) {
-    const auto t0 = std::chrono::steady_clock::now();
-    for (Clock* c : firing_) {
-      for (Module* m : c->modules_) m->Evaluate();
-    }
-    profile_data_.evaluate_sec += SecondsSince(t0);
-  } else {
-    for (Clock* c : firing_) {
-      for (Module* m : c->modules_) m->Evaluate();
-    }
-  }
-  // Phase 2: commit. Registers staged into parked modules commit too, so
-  // staged state always lands at the same edge as on the naïve path.
-  const bool time_naive_commit = profiling_ && !gating();
-  std::chrono::steady_clock::time_point commit_t0;
-  if (time_naive_commit) commit_t0 = std::chrono::steady_clock::now();
+  // Evaluate every firing clock before advancing any, so no module sees a
+  // coincident clock's edge half-way. On the gated engine, parked /
+  // no-op / off-stride modules are skipped (their Evaluate is a proven
+  // no-op).
+  for (Clock* c : firing_) Evaluate(c);
   for (Clock* c : firing_) {
-    if (gating()) {
-      c->CommitPhase();
-    } else {
-      for (Module* m : c->modules_) m->CommitAll();
-    }
-    c->cycles_ += 1;
-    c->next_edge_ps_ += c->period_ps_;
-  }
-  if (time_naive_commit) profile_data_.commit_sec += SecondsSince(commit_t0);
-  for (Clock* c : firing_) {
+    c->Advance();
     edge_heap_.push_back(c);
     std::push_heap(edge_heap_.begin(), edge_heap_.end(), EdgeAfter);
   }

@@ -1,4 +1,4 @@
-// Multi-clock, cycle-accurate simulation kernel with two-phase update.
+// Multi-clock, cycle-accurate simulation kernel with one-phase stepping.
 //
 // The Æthereal NI explicitly supports a different clock frequency per NI
 // port (the hardware FIFOs implement the clock-domain boundary), so the
@@ -7,17 +7,18 @@
 //
 // Semantics (see DESIGN.md §6):
 //  * At every instant where one or more clocks have a rising edge, the
-//    kernel first calls Evaluate() on ALL modules of ALL firing clocks,
-//    then runs the commit phase for all of them. Evaluate() may only read
-//    *committed* state (registers, FIFO contents) and stage updates; the
-//    commit phase applies staged register writes. Results are therefore
-//    independent of module iteration order, exactly like synchronous RTL.
-//  * Clocks firing at the same instant are processed together (one
-//    evaluate phase, one commit phase) so cross-domain state elements see a
-//    consistent picture.
-//  * Queues and wires need no commit: they stamp what they hold with the
-//    edge it becomes visible at (sim/cdc_fifo.h, link/wire.h), and the
-//    router commits its own input queues.
+//    kernel calls Evaluate() on the modules of all firing clocks, then
+//    advances those clocks' edge counts in clock-id order. There is no
+//    commit phase: Evaluate() reads state as it stood when the edge began,
+//    because everything a module stages carries a stamp — the edge after
+//    which it becomes visible — and readers compare stamps against
+//    cycles(). Registers (sim/fifo.h), link wires (link/wire.h) and CDC
+//    queues (sim/cdc_fifo.h) all work this way; the router commits its own
+//    input queues. Results are therefore independent of module iteration
+//    order, exactly like synchronous RTL.
+//  * Clocks firing at the same instant are evaluated together and advanced
+//    together, so a module on one clock never sees another clock's edge
+//    half-way.
 //
 // Performance machinery (see DESIGN.md §7): the steady-state hot path makes
 // zero heap allocations per edge.
@@ -25,19 +26,15 @@
 //    multi-clock SoC keeps its clocks in a preallocated next-edge min-heap,
 //    so Step() never scans all clocks and RunUntil() never rescans what
 //    Step() is about to compute.
-//  * Dirty-list commit: registers report staging via MarkDirty(); the
-//    commit phase applies only the registers actually written this edge,
-//    visiting only modules whose bit is set in a per-clock bitmap.
 //  * Idle-module gating: a module with no pending work may Park() itself;
-//    parked modules are skipped in the evaluate phase until a wire drive,
-//    queue push, credit return, or register write Wake()s them. Staged
-//    registers still commit at the exact naïve-path edge.
-//  * Engine selection (sim/engine.h): kNaive disables gating and dirty
-//    commits (every module runs every edge, every register commits every
-//    edge) so the gated engine can be cross-checked for identical results;
-//    kGated gates with flat per-clock activity bitmaps scanned 64 modules
-//    per word, so idle stretches of a large mesh cost a few cache lines per
-//    edge instead of a walk over every module.
+//    parked modules are skipped in the evaluate sweep until a wire drive,
+//    queue push, credit return, register write or flush request Wake()s
+//    them.
+//  * Engine selection (sim/engine.h): kNaive disables gating (every module
+//    runs every edge) so the gated engine can be cross-checked for
+//    identical results; kGated gates with flat per-clock activity bitmaps
+//    scanned 64 modules per word, so idle stretches of a large mesh cost a
+//    few cache lines per edge instead of a walk over every module.
 #ifndef AETHEREAL_SIM_KERNEL_H
 #define AETHEREAL_SIM_KERNEL_H
 
@@ -58,7 +55,6 @@ namespace aethereal::sim {
 class Clock;
 class Kernel;
 class Module;
-class TwoPhase;
 
 /// Host-side wall-time attribution per engine stage, filled while
 /// Kernel::EnableProfiling() is armed (bench_speed --profile). Off by
@@ -68,36 +64,14 @@ class TwoPhase;
 struct EngineProfile {
   std::int64_t steps = 0;      // kernel Step() calls
   double evaluate_sec = 0.0;   // module Evaluate() sweeps
-  double commit_sec = 0.0;     // commit dispatch sweeps
+  double commit_sec = 0.0;     // always 0: there is no commit phase
   double park_wake_sec = 0.0;  // timer pops (scheduled wakes)
-};
-
-/// A state element with staged updates applied at the clock edge.
-///
-/// Elements call MarkDirty() every time state is staged, so the gated
-/// engine commits only the elements written this edge. Commit() applies the
-/// staged value and must not stage state itself.
-class TwoPhase {
- public:
-  virtual ~TwoPhase() = default;
-  virtual void Commit() = 0;
-
- protected:
-  /// Schedules this element for commit on its owner's next edge (and wakes
-  /// the owner if it is parked). No-op when not registered to a module.
-  void MarkDirty();
-
- private:
-  friend class Module;
-  Module* owner_ = nullptr;
-  bool dirty_ = false;
 };
 
 /// Base class for all clocked hardware models.
 ///
-/// Subclasses implement Evaluate() (combinational + staging of next state)
-/// and register their state elements with RegisterState(); the commit
-/// phase applies them.
+/// Subclasses implement Evaluate(): read the state as it stood when the
+/// edge began, stage next state through stamped elements (DESIGN.md §6).
 class Module {
  public:
   explicit Module(std::string name) : name_(std::move(name)) {}
@@ -106,7 +80,8 @@ class Module {
   Module(const Module&) = delete;
   Module& operator=(const Module&) = delete;
 
-  /// Phase 1: read committed state, stage updates. Called once per edge.
+  /// Reads the state as of the edge start and stages updates. Called once
+  /// per edge.
   virtual void Evaluate() = 0;
 
   const std::string& name() const { return name_; }
@@ -115,7 +90,7 @@ class Module {
   Clock* clock() const { return clock_; }
 
   /// This module's slot in its clock's registration order — which is also
-  /// the order of the commit sweep. The CDC queues derive their
+  /// the order of the evaluate sweep. The CDC queues derive their
   /// same-clock synchronizer delay from it. -1 until registered.
   int clock_index() const { return clock_index_; }
 
@@ -133,12 +108,9 @@ class Module {
   void Wake(Cycle hold_edges = 1);  // inline below (hot path)
 
  protected:
-  void RegisterState(TwoPhase* element);
-
   /// Requests gating out of the evaluate sweep. Granted only on the gated
-  /// engine and when no Wake() hold is active (staging a register holds
-  /// its owner through the commit). A parked module skips Evaluate() until
-  /// the next Wake(); registers staged into it still commit on time.
+  /// engine and when no Wake() hold is active. A parked module skips
+  /// Evaluate() until the next Wake().
   void Park();
 
   /// Park() plus a scheduled wake: if parking is granted, the clock's timer
@@ -149,7 +121,8 @@ class Module {
 
   /// Declares that Evaluate() is an unconditional no-op, so the gated
   /// engine drops this module from the evaluate sweep entirely (NI ports:
-  /// they only own registers). The naïve path still calls it.
+  /// they only clock the NI's flush-request registers). The naïve path
+  /// still calls it.
   void SetEvaluateIsNoop();  // inline below (needs the complete Clock type)
 
   /// Declares that Evaluate() does nothing except on cycles where
@@ -161,24 +134,8 @@ class Module {
  private:
   friend class Clock;
   friend class Kernel;
-  friend class TwoPhase;
-  void AddDirty(TwoPhase* element);  // inline below
-
-  /// The gated commit: applies the registers staged since the last commit.
-  void CommitDirty() {
-    for (TwoPhase* s : dirty_) {
-      s->dirty_ = false;
-      s->Commit();
-    }
-    dirty_.clear();
-  }
-
-  /// The naïve reference commit: applies every registered element.
-  void CommitAll();
 
   std::string name_;
-  std::vector<TwoPhase*> state_;
-  std::vector<TwoPhase*> dirty_;
   Clock* clock_ = nullptr;
   int clock_index_ = -1;  // slot in the clock's module / pending arrays
   bool parked_ = false;
@@ -201,14 +158,10 @@ class Clock {
     module->clock_ = this;
     module->clock_index_ = static_cast<int>(modules_.size());
     modules_.push_back(module);
-    const std::size_t i = modules_.size() - 1;
-    if ((i >> 6) >= commit_bits_.size()) {
-      commit_bits_.push_back(0);
+    if (((modules_.size() - 1) >> 6) >= eval_every_bits_.size()) {
       eval_every_bits_.push_back(0);
       eval_strided_bits_.push_back(0);
     }
-    // Registers staged before registration commit at the first edge.
-    SetBit(commit_bits_, i, !module->dirty_.empty());
     NoteStride(module->evaluate_stride_);
     NoteEvalStatus(module);
   }
@@ -264,11 +217,14 @@ class Clock {
     }
   }
 
-  void EvaluatePhase();      // kGated: activity-bitmap sweep
+  void EvaluatePhase();  // kGated: activity-bitmap sweep
+  void EvaluateAll();    // kNaive: every module
   void RunFlagged(const std::vector<std::uint64_t>& bits);
   void PopDueTimers();
-  void CommitPhase();
-  void CommitSweep();        // the bitmap dispatch of CommitPhase
+  void Advance() {
+    cycles_ += 1;
+    next_edge_ps_ += period_ps_;
+  }
 
   struct Timer {
     Cycle due;
@@ -290,13 +246,12 @@ class Clock {
   Kernel* kernel_ = nullptr;
   std::vector<Module*> modules_;
   std::vector<Timer> timers_;  // scheduled wakes (min-heap by due)
-  // Gated-engine schedule and commit dispatch: one bit per module (bit
-  // i of word i/64 covers modules_[i]). The evaluate and commit sweeps walk
-  // set bits with countr_zero, so a whole mesh costs a handful of word
-  // loads per edge plus work proportional to the number of *active*
-  // modules. Maintained incrementally by NoteEvalStatus / AddDirty; bit
-  // order equals registration order, so sweep order is unchanged.
-  std::vector<std::uint64_t> commit_bits_;       // registers staged
+  // Gated-engine schedule: one bit per module (bit i of word i/64 covers
+  // modules_[i]). The evaluate sweep walks set bits with countr_zero, so a
+  // whole mesh costs a handful of word loads per edge plus work
+  // proportional to the number of *active* modules. Maintained
+  // incrementally by NoteEvalStatus; bit order equals registration order,
+  // so sweep order is unchanged.
   std::vector<std::uint64_t> eval_every_bits_;   // unparked, stride 1
   std::vector<std::uint64_t> eval_strided_bits_; // unparked, stride > 1
   // Phase-start snapshots the evaluate sweep iterates (EvaluatePhase):
@@ -349,9 +304,17 @@ class Kernel {
   friend class Module;
   void RebuildHeap() const;
 
-  /// The gated engine arms the Park()/dirty-commit machinery; the naïve
-  /// reference disables both.
+  /// The gated engine arms the Park() machinery; the naïve reference
+  /// evaluates every module on every edge.
   bool gating() const { return engine_ == EngineKind::kGated; }
+
+  void Evaluate(Clock* clock) {
+    if (gating()) {
+      clock->EvaluatePhase();
+    } else {
+      clock->EvaluateAll();
+    }
+  }
 
   std::vector<std::unique_ptr<Clock>> clocks_;
   // Next-edge min-heap over (next_edge_ps, clock id) and the scratch list of
@@ -399,23 +362,6 @@ inline void Module::SetEvaluateStride(int stride) {
     clock_->NoteStride(stride);
     clock_->NoteEvalStatus(this);
   }
-}
-
-inline void Module::AddDirty(TwoPhase* element) {
-  dirty_.push_back(element);
-  if (clock_ != nullptr) {
-    Clock::SetBit(clock_->commit_bits_,
-                  static_cast<std::size_t>(clock_index_), true);
-  }
-  // Staged state must be committed even if this module was parked or is
-  // about to park.
-  Wake(1);
-}
-
-inline void TwoPhase::MarkDirty() {
-  if (owner_ == nullptr || dirty_) return;
-  dirty_ = true;
-  owner_->AddDirty(this);
 }
 
 }  // namespace aethereal::sim

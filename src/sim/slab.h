@@ -2,8 +2,8 @@
 //
 // Routers, NI kernels, their channels and the link wires are packed into
 // contiguous slabs, so the kernel's evaluate sweeps walk consecutive memory
-// instead of one heap allocation per object (DESIGN.md §7.3). The stable
-// addresses are load-bearing: modules register their registers by pointer,
+// instead of one heap allocation per object (DESIGN.md §7.2). The stable
+// addresses are load-bearing: clocks hold raw pointers to their modules,
 // wires hold raw pointers to their consumers, and producers and consumers
 // hold raw pointers to their wires, so the container must never relocate
 // elements the way std::vector does on growth.

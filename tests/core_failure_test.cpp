@@ -45,13 +45,14 @@ TEST(KernelFailure, StuSlotConflictIsFatal) {
                                         1u << 3)
                         .ok());
         soc->RunCycles(1);
-        // ...then channel 1 claims the same slot.
+        // ...then channel 1 claims the same slot. The write applies, and
+        // the conflict is caught, before the kernel's next slot.
         ASSERT_TRUE(soc->ni(0)
                         ->WriteRegister(regs::ChannelRegAddr(
                                             1, regs::ChannelReg::kSlots),
                                         1u << 3)
                         .ok());
-        soc->RunCycles(1);
+        soc->RunCycles(kFlitWords);
       },
       "already owned");
 }

@@ -174,34 +174,24 @@ TEST(NiKernelTraffic, BeSingleWordDelivery) {
 TEST(NiKernelTraffic, BeOrderPreserved) {
   TwoNiFixture f(OneChannelNi(), OneChannelNi());
   f.OpenPair(0, 0);
+  // Drain NI1 on every cycle, so end-to-end credits recirculate and no
+  // word is read anywhere else.
+  std::vector<Word> received;
+  auto step = [&] {
+    f.Run(1);
+    while (f.ni1->port(0)->ReadAvailable(0) > 0) {
+      received.push_back(f.ni1->port(0)->Read(0));
+    }
+  };
   std::vector<Word> sent;
   for (Word i = 0; i < 30; ++i) {
-    while (!f.ni0->port(0)->CanWrite(0)) f.Run(3);
+    while (!f.ni0->port(0)->CanWrite(0)) step();
     f.ni0->port(0)->Write(0, 0x100 + i);
     sent.push_back(0x100 + i);
-    f.Run(1);
-    // Keep draining so end-to-end credits recirculate.
-    while (f.ni1->port(0)->ReadAvailable(0) > 0) {
-      static std::vector<Word>* received = nullptr;
-      (void)received;
-      break;
-    }
-    if (f.ni1->port(0)->ReadAvailable(0) > 2) {
-      (void)f.ni1->port(0)->Read(0);
-    }
+    step();
   }
-  f.Run(200);
-  // NOTE: some words were read above to free credits; re-send a clean burst.
-  // This test only asserts ordering of what remains readable.
-  std::vector<Word> tail;
-  while (f.ni1->port(0)->ReadAvailable(0) > 0) {
-    tail.push_back(f.ni1->port(0)->Read(0));
-    f.Run(1);
-  }
-  ASSERT_FALSE(tail.empty());
-  for (std::size_t i = 1; i < tail.size(); ++i) {
-    EXPECT_EQ(tail[i], tail[i - 1] + 1) << "words reordered";
-  }
+  for (int i = 0; i < 300 && received.size() < sent.size(); ++i) step();
+  EXPECT_EQ(received, sent);
 }
 
 TEST(NiKernelTraffic, EndToEndFlowControlBlocks) {
@@ -347,6 +337,48 @@ TEST(NiKernelTraffic, FlushOverridesThreshold) {
   f.Run(60);
   EXPECT_EQ(f.ni1->port(0)->ReadAvailable(0), 3)
       << "flush must bypass the send threshold";
+}
+
+TEST(NiKernelTraffic, SlowPortFlushHarvestsOnTheSameSlot) {
+  // The port clock runs at 50 MHz, a tenth of the network clock, so its
+  // edges fall on network edges 0, 10, 20, ... Two words sit below the send
+  // threshold until a FlushData() raised between steps, on a parked kernel
+  // (gated engine), at network cycle 102 + offset. The request shows once
+  // the port edge at network edge 110 (or 120 for offset 9) has ended, and
+  // the kernel harvests it and sends at the next slot boundary: edge 111
+  // or 123 on both engines, as with the two-phase kernel.
+  for (int offset = 0; offset < 10; ++offset) {
+    std::int64_t idle_slots[2] = {0, 0};
+    for (sim::EngineKind engine :
+         {sim::EngineKind::kNaive, sim::EngineKind::kGated}) {
+      TwoNiFixture f(OneChannelNi(), OneChannelNi(), /*port_mhz=*/50.0);
+      f.sim.set_engine(engine);
+      f.ConfigureChannel(*f.ni0, 0, SourcePath::FromHops({1}), 0, false, 0,
+                         /*data_thr=*/4, /*credit_thr=*/1);
+      f.ConfigureChannel(*f.ni1, 0, SourcePath::FromHops({0}), 0, false, 0);
+      f.Run(2);
+      f.ni0->port(0)->Write(0, 1);
+      f.ni0->port(0)->Write(0, 2);
+      f.Run(100 + offset);
+      EXPECT_EQ(f.ni0->parked(), engine == sim::EngineKind::kGated);
+      ASSERT_EQ(f.ni0->stats().payload_words_sent, 0);
+      f.ni0->port(0)->FlushData(0);
+      Cycle sent_at = -1;
+      for (int i = 0; i < 40 && sent_at < 0; ++i) {
+        f.Run(1);
+        if (f.ni0->stats().payload_words_sent > 0) {
+          sent_at = f.ni0->CycleCount() - 1;
+        }
+      }
+      EXPECT_EQ(sent_at, offset < 9 ? 111 : 123)
+          << sim::EngineKindName(engine) << " offset " << offset;
+      f.Run(200);
+      EXPECT_EQ(f.ni1->port(0)->ReadAvailable(0), 2);
+      idle_slots[engine == sim::EngineKind::kGated] =
+          f.ni0->stats().idle_slots;
+    }
+    EXPECT_EQ(idle_slots[0], idle_slots[1]) << "offset " << offset;
+  }
 }
 
 TEST(NiKernelTraffic, CreditThresholdBatchesCredits) {

@@ -45,6 +45,17 @@ void* operator new[](std::size_t size) {
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
+// The nothrow forms too (std::stable_sort's temporary buffer uses them):
+// left to the runtime, they would allocate with a different allocator than
+// the free() below, which AddressSanitizer reports as a mismatch.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  ++g_heap_allocations;
+  return std::malloc(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  ++g_heap_allocations;
+  return std::malloc(size);
+}
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }

@@ -1,4 +1,4 @@
-// Unit tests for the simulation kernel: clocks, two-phase update, FIFOs,
+// Unit tests for the simulation kernel: clocks, stamped registers, FIFOs,
 // clock-domain-crossing FIFOs.
 #include <gtest/gtest.h>
 
@@ -13,92 +13,244 @@
 namespace aethereal::sim {
 namespace {
 
+constexpr EngineKind kBothEngines[] = {EngineKind::kNaive, EngineKind::kGated};
+
 // A module that counts its own cycles.
 class Counter : public Module {
  public:
-  explicit Counter(std::string name) : Module(std::move(name)) {
-    RegisterState(&value_);
-  }
+  explicit Counter(std::string name) : Module(std::move(name)) {}
   void Evaluate() override { value_.Set(value_.Get() + 1); }
   int Value() const { return value_.Get(); }
 
  private:
-  Register<int> value_{0};
+  Register<int> value_{this, 0};
 };
 
 TEST(Kernel, SingleClockCycles) {
-  Kernel kernel;
-  Clock* clk = kernel.AddClockMhz("clk", 500.0);
-  EXPECT_EQ(clk->period_ps(), 2000);
-  Counter counter("c");
-  clk->Register(&counter);
-  kernel.RunCycles(clk, 10);
-  EXPECT_EQ(clk->cycles(), 10);
-  EXPECT_EQ(counter.Value(), 10);
+  for (EngineKind engine : kBothEngines) {
+    Kernel kernel;
+    kernel.set_engine(engine);
+    Clock* clk = kernel.AddClockMhz("clk", 500.0);
+    EXPECT_EQ(clk->period_ps(), 2000);
+    Counter counter("c");
+    clk->Register(&counter);
+    kernel.RunCycles(clk, 10);
+    EXPECT_EQ(clk->cycles(), 10);
+    EXPECT_EQ(counter.Value(), 10) << EngineKindName(engine);
+  }
 }
 
 TEST(Kernel, TwoClocksAdvanceProportionally) {
-  Kernel kernel;
-  Clock* fast = kernel.AddClock("fast", 1000);  // 1 GHz
-  Clock* slow = kernel.AddClock("slow", 4000);  // 250 MHz
-  Counter cf("cf"), cs("cs");
-  fast->Register(&cf);
-  slow->Register(&cs);
-  kernel.RunUntil(40000);
-  // Edges at t=0,1000,... inclusive of t=0 and t=40000.
-  EXPECT_EQ(cf.Value(), 41);
-  EXPECT_EQ(cs.Value(), 11);
+  for (EngineKind engine : kBothEngines) {
+    Kernel kernel;
+    kernel.set_engine(engine);
+    Clock* fast = kernel.AddClock("fast", 1000);  // 1 GHz
+    Clock* slow = kernel.AddClock("slow", 4000);  // 250 MHz
+    Counter cf("cf"), cs("cs");
+    fast->Register(&cf);
+    slow->Register(&cs);
+    kernel.RunUntil(40000);
+    // Edges at t=0,1000,... inclusive of t=0 and t=40000.
+    EXPECT_EQ(cf.Value(), 41) << EngineKindName(engine);
+    EXPECT_EQ(cs.Value(), 11) << EngineKindName(engine);
+  }
 }
 
 TEST(Kernel, CoincidentEdgesFireTogether) {
-  Kernel kernel;
-  Clock* a = kernel.AddClock("a", 2000);
-  Clock* b = kernel.AddClock("b", 3000);
-  Counter ca("ca"), cb("cb");
-  a->Register(&ca);
-  b->Register(&cb);
-  // First step handles t=0 where both fire.
-  kernel.Step();
-  EXPECT_EQ(ca.Value(), 1);
-  EXPECT_EQ(cb.Value(), 1);
-  // Next edges: a at 2000, b at 3000.
-  kernel.Step();
-  EXPECT_EQ(ca.Value(), 2);
-  EXPECT_EQ(cb.Value(), 1);
+  for (EngineKind engine : kBothEngines) {
+    Kernel kernel;
+    kernel.set_engine(engine);
+    Clock* a = kernel.AddClock("a", 2000);
+    Clock* b = kernel.AddClock("b", 3000);
+    Counter ca("ca"), cb("cb");
+    a->Register(&ca);
+    b->Register(&cb);
+    // First step handles t=0 where both fire.
+    kernel.Step();
+    EXPECT_EQ(ca.Value(), 1);
+    EXPECT_EQ(cb.Value(), 1);
+    // Next edges: a at 2000, b at 3000.
+    kernel.Step();
+    EXPECT_EQ(ca.Value(), 2);
+    EXPECT_EQ(cb.Value(), 1);
+  }
 }
 
 // Two modules exchanging values through registers must see last-cycle state
-// regardless of registration order (order independence of two-phase update).
+// regardless of registration order.
 class Swapper : public Module {
  public:
-  Swapper(std::string name, Register<int>* mine, const Register<int>* theirs)
-      : Module(std::move(name)), mine_(mine), theirs_(theirs) {
-    RegisterState(mine_);
-  }
-  void Evaluate() override { mine_->Set(theirs_->Get() + 1); }
-
- private:
-  Register<int>* mine_;
-  const Register<int>* theirs_;
+  Swapper(std::string name, int reset)
+      : Module(std::move(name)), reg(this, reset) {}
+  void Evaluate() override { reg.Set(theirs->Get() + 1); }
+  Register<int> reg;
+  const Register<int>* theirs = nullptr;
 };
 
-TEST(Kernel, TwoPhaseOrderIndependence) {
-  for (bool reversed : {false, true}) {
-    Kernel kernel;
-    Clock* clk = kernel.AddClock("clk", 1000);
-    Register<int> ra(0), rb(100);
-    Swapper a("a", &ra, &rb), b("b", &rb, &ra);
-    if (reversed) {
-      clk->Register(&b);
-      clk->Register(&a);
-    } else {
-      clk->Register(&a);
-      clk->Register(&b);
+TEST(Kernel, RegisterOrderIndependence) {
+  for (EngineKind engine : kBothEngines) {
+    for (bool reversed : {false, true}) {
+      Kernel kernel;
+      kernel.set_engine(engine);
+      Clock* clk = kernel.AddClock("clk", 1000);
+      Swapper a("a", 0), b("b", 100);
+      a.theirs = &b.reg;
+      b.theirs = &a.reg;
+      if (reversed) {
+        clk->Register(&b);
+        clk->Register(&a);
+      } else {
+        clk->Register(&a);
+        clk->Register(&b);
+      }
+      kernel.RunCycles(clk, 1);
+      // Both read pre-edge values: a := 100+1, b := 0+1.
+      EXPECT_EQ(a.reg.Get(), 101) << EngineKindName(engine);
+      EXPECT_EQ(b.reg.Get(), 1) << EngineKindName(engine);
+      kernel.RunCycles(clk, 1);
+      EXPECT_EQ(a.reg.Get(), 2);
+      EXPECT_EQ(b.reg.Get(), 102);
     }
-    kernel.RunCycles(clk, 1);
-    // Both read pre-edge values: ra := 100+1, rb := 0+1.
-    EXPECT_EQ(ra.Get(), 101);
-    EXPECT_EQ(rb.Get(), 1);
+  }
+}
+
+// --- Register visibility across clocks ------------------------------------
+//
+// A value staged in an owner edge shows once every module of every clock
+// firing at that instant has evaluated. The expected edges are those of
+// the earlier two-phase kernel, which applied staged registers in a commit
+// phase at exactly that point.
+
+// Sets its register to 10 * (edge + 1) at each listed edge of its clock.
+class RegWriter : public Module {
+ public:
+  explicit RegWriter(std::vector<Cycle> set_edges)
+      : Module("writer"), set_edges_(std::move(set_edges)) {}
+  void Evaluate() override {
+    for (Cycle e : set_edges_) {
+      if (e == CycleCount()) reg.Set(static_cast<int>(10 * (e + 1)));
+    }
+  }
+  Register<int> reg{this, 0};
+
+ private:
+  std::vector<Cycle> set_edges_;
+};
+
+// Records the register's value at each of its edges.
+class RegReader : public Module {
+ public:
+  RegReader(std::string name, const Register<int>* reg)
+      : Module(std::move(name)), reg_(reg) {}
+  void Evaluate() override { seen.push_back(reg_->Get()); }
+  std::vector<int> seen;  // by edge
+
+ private:
+  const Register<int>* reg_;
+};
+
+// First edge (index) at which `seen` holds `value`, or -1.
+int FirstEdgeSeeing(const std::vector<int>& seen, int value) {
+  for (std::size_t i = 0; i < seen.size(); ++i) {
+    if (seen[i] == value) return static_cast<int>(i);
+  }
+  return -1;
+}
+
+// Creates the writer's and the reader's clocks in the given id order.
+std::pair<Clock*, Clock*> AddClocks(Kernel& kernel, Picoseconds writer_ps,
+                                    Picoseconds reader_ps,
+                                    bool writer_clock_first) {
+  if (writer_clock_first) {
+    Clock* w = kernel.AddClock("w", writer_ps);
+    return {w, kernel.AddClock("r", reader_ps)};
+  }
+  Clock* r = kernel.AddClock("r", reader_ps);
+  return {kernel.AddClock("w", writer_ps), r};
+}
+
+TEST(Register, CoincidentEdgesAcrossClocks) {
+  // Sets at writer edges 1, 2 and 5 (values 20, 30, 60). A reader on the
+  // other clock whose edge coincides with the writer's sees the value only
+  // at its next edge, whichever clock has the lower id; a reader on the
+  // writer's clock registered before the writer sees it one edge later.
+  struct Case {
+    Picoseconds writer_ps, reader_ps;
+    int edge20, edge30, edge60;  // first reader edge seeing each value
+  };
+  for (const Case& c : {Case{1000, 2000, 1, 2, 3}, Case{2000, 1000, 3, 5, 11}}) {
+    for (EngineKind engine : kBothEngines) {
+      for (bool writer_clock_first : {true, false}) {
+        Kernel kernel;
+        kernel.set_engine(engine);
+        auto [wclk, rclk] =
+            AddClocks(kernel, c.writer_ps, c.reader_ps, writer_clock_first);
+        RegWriter writer({1, 2, 5});
+        RegReader reader("reader", &writer.reg);
+        RegReader same("same", &writer.reg);
+        wclk->Register(&same);
+        wclk->Register(&writer);
+        rclk->Register(&reader);
+        kernel.RunUntil(14000);
+        const std::string what = std::string(EngineKindName(engine)) +
+                                 " writer_clock_first=" +
+                                 (writer_clock_first ? "1" : "0");
+        EXPECT_EQ(FirstEdgeSeeing(reader.seen, 20), c.edge20) << what;
+        EXPECT_EQ(FirstEdgeSeeing(reader.seen, 30), c.edge30) << what;
+        EXPECT_EQ(FirstEdgeSeeing(reader.seen, 60), c.edge60) << what;
+        EXPECT_EQ(FirstEdgeSeeing(same.seen, 20), 2) << what;
+        EXPECT_EQ(FirstEdgeSeeing(same.seen, 30), 3) << what;
+        EXPECT_EQ(FirstEdgeSeeing(same.seen, 60), 6) << what;
+      }
+    }
+  }
+}
+
+TEST(Register, SetBetweenSteps) {
+  // A Set() made between steps shows once the owner clock's next edge has
+  // ended: at t=6000 for a 3000 ps owner, t=10000 for a 10000 ps one, so a
+  // 1 GHz reader sees it at its edge 7 or 11.
+  for (auto [writer_ps, edge] : {std::pair<Picoseconds, int>{3000, 7},
+                                 std::pair<Picoseconds, int>{10000, 11}}) {
+    for (EngineKind engine : kBothEngines) {
+      for (bool writer_clock_first : {true, false}) {
+        Kernel kernel;
+        kernel.set_engine(engine);
+        auto [wclk, rclk] =
+            AddClocks(kernel, writer_ps, 1000, writer_clock_first);
+        RegWriter writer({});
+        RegReader reader("reader", &writer.reg);
+        wclk->Register(&writer);
+        rclk->Register(&reader);
+        while (kernel.NextEdgeTime() <= 4000) kernel.Step();
+        writer.reg.Set(77);
+        EXPECT_EQ(writer.reg.Get(), 0);
+        EXPECT_EQ(writer.reg.Latest(), 77);
+        kernel.RunUntil(40000);
+        EXPECT_EQ(FirstEdgeSeeing(reader.seen, 77), edge)
+            << EngineKindName(engine) << " writer_ps=" << writer_ps;
+      }
+    }
+  }
+}
+
+TEST(Register, OwnerTenTimesSlower) {
+  // A 100 MHz owner sets at its edges 1, 2 and 5 (t=10000, 20000, 50000);
+  // a 1 GHz reader sees each value one of its edges after the instant.
+  for (EngineKind engine : kBothEngines) {
+    for (bool writer_clock_first : {true, false}) {
+      Kernel kernel;
+      kernel.set_engine(engine);
+      auto [wclk, rclk] = AddClocks(kernel, 10000, 1000, writer_clock_first);
+      RegWriter writer({1, 2, 5});
+      RegReader reader("reader", &writer.reg);
+      wclk->Register(&writer);
+      rclk->Register(&reader);
+      kernel.RunUntil(70000);
+      EXPECT_EQ(FirstEdgeSeeing(reader.seen, 20), 11) << EngineKindName(engine);
+      EXPECT_EQ(FirstEdgeSeeing(reader.seen, 30), 21) << EngineKindName(engine);
+      EXPECT_EQ(FirstEdgeSeeing(reader.seen, 60), 51) << EngineKindName(engine);
+    }
   }
 }
 
@@ -174,10 +326,11 @@ TEST(FifoDeathTest, UnderflowChecks) {
 
 // --- CdcFifo on real clocks ---------------------------------------------
 //
-// The expected edges below are the behaviour of the two-phase synchronizer
-// the stamps reproduce (sim/cdc_fifo.h): a word pushed at writer edge w is
-// delivered at the first reader commit with cycles() >= the reader's edge
-// count at the writer's commit + 1, and is readable one edge later.
+// The expected edges below are the behaviour of the reference synchronizer
+// the stamps reproduce (sim/cdc_fifo.h): a word pushed at a writer edge is
+// delivered at the end of the first reader edge with cycles() >= the
+// reader's edge count at the end of the writer's edge + 1, and is readable
+// one edge later.
 
 // Pushes one word (0, 1, 2, ...) at each listed edge of its clock that
 // finds space, and records per edge the space it sees before pushing, the
@@ -253,11 +406,9 @@ int FirstNonzero(const std::vector<int>& values) {
   return -1;
 }
 
-constexpr EngineKind kBothEngines[] = {EngineKind::kNaive, EngineKind::kGated};
-
 TEST(CdcFifo, TwoEdgeSynchronizerLatency) {
-  // One clock: readable two edges after the push when the reader commits
-  // after the writer, three when it is registered (and commits) first.
+  // One clock: readable two edges after the push when the reader is
+  // registered after the writer, three when it is registered first.
   for (EngineKind engine : kBothEngines) {
     for (bool reader_first : {false, true}) {
       Kernel kernel;
@@ -309,7 +460,7 @@ TEST(CdcFifo, SpaceReturnsAfterWriterEdges) {
 TEST(CdcFifo, CoincidentEdgesAcrossClocks) {
   // Writer at 1 GHz, reader at 500 MHz: the push at writer edge 2 and the
   // pop that follows it fall on instants where both clocks fire. The clock
-  // created first has the lower id and commits first, so it has already
+  // created first has the lower id and advances first, so it has already
   // counted the shared edge when the other side hands over.
   for (EngineKind engine : kBothEngines) {
     for (bool writer_clock_first : {true, false}) {
@@ -370,7 +521,7 @@ TEST(CdcFifo, ReaderTenTimesSlower) {
           << EngineKindName(engine);
       EXPECT_EQ(reader.popped, (std::vector<int>{0, 1, 2, 3}));
       // Pop at t=30000 = writer edge 30: visible to the writer at edge 33
-      // when its clock commits first, 32 otherwise.
+      // when its clock advances first, 32 otherwise.
       const int back = writer_clock_first ? 33 : 32;
       EXPECT_EQ(FirstNonzero(writer.freed), back) << EngineKindName(engine);
       EXPECT_EQ(writer.freed[static_cast<std::size_t>(back)], 4);
