@@ -403,8 +403,11 @@ with open(sys.argv[1]) as f:
     data = json.load(f)
 with open(sys.argv[2]) as f:
     baseline = json.load(f)
-ratio = data["speedup_4x4_mixed"]["ratio"]
-print(f"bench_speed smoke: 4x4 mixed speedup = {ratio:.2f}x")
+# The median gated/naive ratio over interleaved run pairs.
+speedup = data["speedup_4x4_mixed"]
+ratio = speedup["ratio"]
+print(f"bench_speed smoke: 4x4 mixed speedup = {ratio:.2f}x median "
+      f"(pairs {speedup['ratio_min']:.2f}-{speedup['ratio_max']:.2f}x)")
 assert ratio >= 1.5, f"gated engine speedup collapsed: {ratio:.2f}x"
 
 # Perf regression gate: the 8x8 mixed tier (the engine acceptance

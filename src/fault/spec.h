@@ -75,6 +75,10 @@ struct FaultSpec {
 
   RetryPolicy retry;
 
+  /// Source line of the `fault` block in a .scn file (diagnostics only; 0
+  /// when loaded from a fault file or synthesized).
+  int line = 0;
+
   bool AnyLinkFaults() const {
     return link_corrupt_rate > 0.0 || link_drop_rate > 0.0;
   }

@@ -38,6 +38,10 @@
 //                                 # after the run; per-category ring
 //                                 # capacity N events (drops accounted).
 //                                 # Off by default; observation only.
+//   converge rel_err E [conf C] [max_duration D] [interval I] [batches B]
+//                                 # stop-on-convergence (DESIGN.md §14):
+//                                 # run until the latency CI reaches
+//                                 # relative error E. Off by default.
 //
 // followed by one or more traffic directives. Each directive names a
 // pattern (which NIs talk to which), then optional clauses:
@@ -107,8 +111,10 @@
 // Clauses (append after the pattern, any order):
 //
 //   inject periodic N             # one word / transaction every N cycles
+//                                 # (1 <= N <= 2^30)
 //   inject bernoulli R            # issue with probability R per cycle
 //   inject bursty W G             # W back-to-back words, then G idle cycles
+//                                 # (1 <= W <= 2^20, 0 <= G <= 2^30)
 //   inject closed                 # memory only: issue on response return
 //   qos be                        # best-effort (default)
 //   qos gt S                      # guaranteed throughput, S reserved slots
@@ -125,6 +131,7 @@
 #ifndef AETHEREAL_SCENARIO_SPEC_H
 #define AETHEREAL_SCENARIO_SPEC_H
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -246,6 +253,10 @@ struct ScenarioSpec {
   /// Per-transition cycle bound, applied separately to the outgoing-
   /// traffic drain and to the Fig. 9 configuration sequencing.
   Cycle drain_cycles = 20000;
+  /// Source lines of the `cfgni` / `drain` directives (0 = not given;
+  /// diagnostics and the phased-only rule of ValidateScenario).
+  int cfg_ni_line = 0;
+  int drain_line = 0;
 
   /// Armed fault models (absent = fault subsystem not even instantiated;
   /// see SocOptions::fault for the kill-switch semantics).
@@ -282,7 +293,59 @@ struct ScenarioSpec {
   Cycle TotalDuration() const;
 };
 
-/// Parses the text form above. Errors carry the offending line number.
+/// One non-empty line of a spec file: '#' comment stripped, split on
+/// whitespace. The .scn and .swp grammars share this tokenization.
+struct SpecLine {
+  int number = 0;
+  std::vector<std::string> tokens;
+};
+
+std::vector<SpecLine> TokenizeSpec(const std::string& text);
+
+/// InvalidArgument "line N: message", the diagnostic form of both grammars.
+Status LineError(int line, const std::string& message);
+
+/// The parser's strict whole-token number parses ("expected a number, got
+/// 'X'"); ParseIntIn adds an inclusive range check ("'X' out of range [lo,
+/// hi]"). Doubles must be finite.
+Result<std::int64_t> ParseInt(const std::string& token);
+Result<std::int64_t> ParseIntIn(const std::string& token, std::int64_t lo,
+                                std::int64_t hi);
+Result<double> ParseDouble(const std::string& token);
+
+// The directive appliers: the parser applies every line of a .scn file
+// through these, and the sweep's keys and the tools' override flags turn
+// their values into the same tokens and apply them the same way. Each
+// checks its own syntax and ranges; errors carry no line number. Rules
+// that relate several directives wait for ValidateScenario.
+
+/// Applies one scenario-level directive, `tokens[0]` naming it: scenario
+/// noc stu netmhz queues seed warmup duration cfgni drain engine verify
+/// converge stats trace. `duration` fails on a phased spec; `converge`
+/// without `rel_err` tunes an already-armed policy.
+Status ApplyScalarDirective(const std::vector<std::string>& tokens,
+                            ScenarioSpec* spec);
+
+/// Applies the traffic clauses `tokens[at..]` (inject / qos / persist /
+/// thresholds / read_fraction / burst) to `traffic`, whose pattern is set.
+Status ApplyTrafficClauses(const std::vector<std::string>& tokens,
+                           std::size_t at, TrafficSpec* traffic);
+
+/// Applies `duration D` and/or `warmup W` pairs from `tokens[at..]` to a
+/// phase.
+Status ApplyPhaseTiming(const std::vector<std::string>& tokens,
+                        std::size_t at, PhaseSpec* phase);
+
+/// The cross-directive rules every runnable spec obeys: at least one
+/// traffic directive; `persist` only inside a phase and phased directives
+/// at threshold 1; in a phased spec, every directive inside a phase, cfgni
+/// on the topology and traffic active in every phase; otherwise no
+/// cfgni/drain and no config faults or retry policy. Errors name the
+/// offending source line where the spec records one.
+Status ValidateScenario(const ScenarioSpec& spec);
+
+/// Parses the text form above: tokenize, apply each line, validate.
+/// Errors carry the offending line number.
 Result<ScenarioSpec> ParseScenario(const std::string& text);
 
 /// Reads and parses a spec file.

@@ -1,14 +1,15 @@
 #include "sweep/spec.h"
 
+#include <algorithm>
 #include <cctype>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <sstream>
-#include <stdexcept>
+#include <string_view>
 #include <utility>
 
-#include "core/registers.h"
 #include "scenario/patterns.h"
 #include "util/json.h"
 #include "util/rng.h"
@@ -16,249 +17,149 @@
 namespace aethereal::sweep {
 
 using scenario::InjectKind;
+using scenario::LineError;
 using scenario::ScenarioSpec;
 using scenario::TrafficSpec;
 
-bool ParamRef::IsTrafficKey() const {
-  switch (key) {
-    case Key::kRate:
-    case Key::kPeriod:
-    case Key::kBurst:
-    case Key::kGtSlots:
-    case Key::kQos:
-      return true;
-    default:
-      return false;
-  }
-}
-
 namespace {
 
-const char* KeyName(ParamRef::Key key) {
-  switch (key) {
-    case ParamRef::Key::kStu: return "stu";
-    case ParamRef::Key::kQueues: return "queues";
-    case ParamRef::Key::kSeed: return "seed";
-    case ParamRef::Key::kWarmup: return "warmup";
-    case ParamRef::Key::kDuration: return "duration";
-    case ParamRef::Key::kNetMhz: return "netmhz";
-    case ParamRef::Key::kNoc: return "noc";
-    case ParamRef::Key::kEngine: return "engine";
-    case ParamRef::Key::kRate: return "rate";
-    case ParamRef::Key::kPeriod: return "period";
-    case ParamRef::Key::kBurst: return "burst";
-    case ParamRef::Key::kGtSlots: return "gtslots";
-    case ParamRef::Key::kQos: return "qos";
-    case ParamRef::Key::kFaultSeed: return "fault.seed";
-    case ParamRef::Key::kFaultCorrupt: return "fault.corrupt";
-    case ParamRef::Key::kFaultDrop: return "fault.drop";
-    case ParamRef::Key::kFaultCfgDrop: return "fault.cfgdrop";
-  }
-  return "?";
-}
-
-constexpr ParamRef::Key kAllKeys[] = {
-    ParamRef::Key::kStu,     ParamRef::Key::kQueues,
-    ParamRef::Key::kSeed,    ParamRef::Key::kWarmup,
-    ParamRef::Key::kDuration, ParamRef::Key::kNetMhz,
-    ParamRef::Key::kNoc,     ParamRef::Key::kEngine,
-    ParamRef::Key::kRate,    ParamRef::Key::kPeriod,
-    ParamRef::Key::kBurst,   ParamRef::Key::kGtSlots,
-    ParamRef::Key::kQos,
-    ParamRef::Key::kFaultSeed, ParamRef::Key::kFaultCorrupt,
-    ParamRef::Key::kFaultDrop, ParamRef::Key::kFaultCfgDrop,
+/// One row of the sweep key table: the key's spelling and the scenario
+/// directive its values stand for (the tokens the value follows). Traffic
+/// keys also say which directives they apply to.
+struct KeySyntax {
+  const char* name;
+  const char* directive;
+  const char* targets = nullptr;
+  bool (*matches)(const TrafficSpec&) = nullptr;
 };
 
-/// Strict full-token integer parse (no silent prefix parse).
-Result<std::int64_t> ParseInt(const std::string& token) {
-  try {
-    std::size_t pos = 0;
-    const std::int64_t value = std::stoll(token, &pos);
-    if (pos != token.size()) throw std::invalid_argument(token);
-    return value;
-  } catch (const std::exception&) {
-    return InvalidArgumentError("expected a number, got '" + token + "'");
-  }
+/// Indexed by ParamRef::Key.
+constexpr KeySyntax kKeys[] = {
+    {"stu", "stu"},
+    {"queues", "queues"},
+    {"seed", "seed"},
+    {"warmup", "warmup"},
+    {"duration", "duration"},
+    {"netmhz", "netmhz"},
+    {"noc", "noc"},
+    {"engine", "engine"},
+    {"rate", "inject bernoulli", "a bernoulli directive",
+     [](const TrafficSpec& t) { return t.inject == InjectKind::kBernoulli; }},
+    {"period", "inject periodic", "a periodic directive",
+     [](const TrafficSpec& t) { return t.inject == InjectKind::kPeriodic; }},
+    {"burst", "inject bursty", "a bursty directive",
+     [](const TrafficSpec& t) { return t.inject == InjectKind::kBursty; }},
+    {"gtslots", "qos gt", "a GT directive",
+     [](const TrafficSpec& t) { return t.gt; }},
+    {"qos", "qos", "a traffic directive",
+     [](const TrafficSpec&) { return true; }},
+    {"fault.seed", "seed"},
+    {"fault.corrupt", "link corrupt"},
+    {"fault.drop", "link drop"},
+    {"fault.cfgdrop", "config drop"},
+};
+
+const KeySyntax& SyntaxOf(ParamRef::Key key) {
+  return kKeys[static_cast<std::size_t>(key)];
 }
 
-Result<std::int64_t> ParseIntIn(const std::string& token, std::int64_t lo,
-                                std::int64_t hi) {
-  auto value = ParseInt(token);
-  if (!value.ok()) return value;
-  if (*value < lo || *value > hi) {
-    return InvalidArgumentError("'" + token + "' out of range [" +
-                                std::to_string(lo) + ", " +
-                                std::to_string(hi) + "]");
-  }
-  return value;
-}
-
-Result<double> ParseDouble(const std::string& token) {
-  try {
-    std::size_t pos = 0;
-    const double value = std::stod(token, &pos);
-    if (pos != token.size()) throw std::invalid_argument(token);
-    return value;
-  } catch (const std::exception&) {
-    return InvalidArgumentError("expected a number, got '" + token + "'");
-  }
-}
-
-/// Same population ceiling as the scenario parser.
-constexpr std::int64_t kMaxSweepNis = 4096;
-
-/// Applies a "noc" axis value: star7, mesh4x4x1, ring6x1.
-Status ApplyNoc(const std::string& value, ScenarioSpec* spec) {
-  std::size_t at = 0;
-  while (at < value.size() &&
-         std::isalpha(static_cast<unsigned char>(value[at])) != 0) {
-    ++at;
-  }
-  const std::string kind = value.substr(0, at);
-  std::vector<std::int64_t> dims;
-  std::string token;
-  for (std::size_t i = at; i <= value.size(); ++i) {
-    if (i == value.size() || value[i] == 'x') {
-      auto v = ParseIntIn(token, 1, kMaxSweepNis);
-      if (!v.ok()) {
-        return InvalidArgumentError("noc '" + value +
-                                    "': " + v.status().message());
-      }
-      dims.push_back(*v);
-      token.clear();
-    } else {
-      token += value[i];
-    }
-  }
-  if (kind == "star" && dims.size() == 1) {
-    spec->topology = scenario::TopologyKind::kStar;
-    spec->dim_a = static_cast<int>(dims[0]);
-    spec->dim_b = 1;
-    spec->nis_per_router = 1;
-  } else if (kind == "mesh" && dims.size() == 3) {
-    if (dims[0] * dims[1] * dims[2] > kMaxSweepNis) {
-      return InvalidArgumentError("noc '" + value + "': more than " +
-                                  std::to_string(kMaxSweepNis) + " NIs");
-    }
-    spec->topology = scenario::TopologyKind::kMesh;
-    spec->dim_a = static_cast<int>(dims[0]);
-    spec->dim_b = static_cast<int>(dims[1]);
-    spec->nis_per_router = static_cast<int>(dims[2]);
-  } else if (kind == "ring" && dims.size() == 2) {
-    if (dims[0] < 3) {
-      return InvalidArgumentError("noc '" + value + "': ring needs >= 3 routers");
-    }
-    if (dims[0] * dims[1] > kMaxSweepNis) {
-      return InvalidArgumentError("noc '" + value + "': more than " +
-                                  std::to_string(kMaxSweepNis) + " NIs");
-    }
-    spec->topology = scenario::TopologyKind::kRing;
-    spec->dim_a = static_cast<int>(dims[0]);
-    spec->dim_b = 1;
-    spec->nis_per_router = static_cast<int>(dims[1]);
-  } else {
-    return InvalidArgumentError(
-        "noc value must be starN, meshRxCxN, or ringRxN, got '" + value +
-        "'");
-  }
-  if (spec->RouterPorts() > kMaxRouterPorts) {
-    return InvalidArgumentError(
-        "noc '" + value + "': router radix " +
-        std::to_string(spec->RouterPorts()) + " exceeds " +
-        std::to_string(kMaxRouterPorts) + " ports");
-  }
-  if (spec->Phased() && spec->cfg_ni >= spec->NumNis()) {
-    return InvalidArgumentError("noc '" + value + "': cfgni " +
-                                std::to_string(spec->cfg_ni) +
-                                " is off the new topology");
-  }
-  return OkStatus();
-}
-
-/// Visits the traffic directives a traffic-level param targets: the
-/// scoped one, or every directive `matches` accepts. Fails when nothing
+/// Applies directive tokens to the traffic directives a traffic key
+/// targets: the scoped one, or every matching one. Fails when nothing
 /// matches, so a sweep never silently leaves the workload unchanged.
-Status ForEachTarget(const ParamRef& param, ScenarioSpec* spec,
-                     const std::function<bool(const TrafficSpec&)>& matches,
-                     const std::function<void(TrafficSpec*)>& apply,
-                     const std::string& wants) {
+Status ApplyToTargets(const ParamRef& param,
+                      const std::vector<std::string>& tokens,
+                      ScenarioSpec* spec) {
+  const KeySyntax& syntax = SyntaxOf(param.key);
+  // A bad value is reported as such even when no directive matches.
+  const auto no_target = [&](const std::string& message) {
+    TrafficSpec scratch;
+    Status s = scenario::ApplyTrafficClauses(tokens, 0, &scratch);
+    return s.ok() ? InvalidArgumentError(message) : s;
+  };
   if (param.group >= 0) {
     if (static_cast<std::size_t>(param.group) >= spec->traffic.size()) {
-      return InvalidArgumentError(
-          param.Name() + ": base scenario has " +
-          std::to_string(spec->traffic.size()) + " traffic directives");
+      return no_target(param.Name() + ": base scenario has " +
+                       std::to_string(spec->traffic.size()) +
+                       " traffic directives");
     }
     TrafficSpec* traffic = &spec->traffic[static_cast<std::size_t>(param.group)];
-    if (!matches(*traffic)) {
-      return InvalidArgumentError(param.Name() + ": directive g" +
-                                  std::to_string(param.group) + " is not " +
-                                  wants);
+    if (!syntax.matches(*traffic)) {
+      return no_target(param.Name() + ": directive g" +
+                       std::to_string(param.group) + " is not " +
+                       syntax.targets);
     }
-    apply(traffic);
-    return OkStatus();
+    return scenario::ApplyTrafficClauses(tokens, 0, traffic);
   }
   bool any = false;
   for (TrafficSpec& traffic : spec->traffic) {
-    if (matches(traffic)) {
-      apply(&traffic);
-      any = true;
+    if (!syntax.matches(traffic)) continue;
+    if (Status s = scenario::ApplyTrafficClauses(tokens, 0, &traffic);
+        !s.ok()) {
+      return s;
     }
+    any = true;
   }
   if (!any) {
-    return InvalidArgumentError("'" + param.Name() +
-                                "': no traffic directive is " + wants);
+    return no_target("'" + param.Name() + "': no traffic directive is " +
+                     syntax.targets);
   }
   return OkStatus();
 }
 
 }  // namespace
 
+bool ParamRef::IsTrafficKey() const {
+  return SyntaxOf(key).matches != nullptr;
+}
+
+bool ParamRef::IsFaultKey() const {
+  return std::string_view(SyntaxOf(key).name).starts_with("fault.");
+}
+
 std::string ParamRef::Name() const {
   std::string name;
   if (group >= 0) name = "g" + std::to_string(group) + ".";
   if (phase >= 0) name = "p" + std::to_string(phase) + ".";
-  name += KeyName(key);
+  name += SyntaxOf(key).name;
   return name;
+}
+
+std::vector<ParamRef::Key> AllParamKeys() {
+  std::vector<ParamRef::Key> keys;
+  for (std::size_t k = 0; k < std::size(kKeys); ++k) {
+    keys.push_back(static_cast<ParamRef::Key>(k));
+  }
+  return keys;
 }
 
 Result<ParamRef> ParseParamRef(const std::string& token) {
   ParamRef param;
   std::string key = token;
-  if (token.size() >= 2 && token[0] == 'g' &&
-      std::isdigit(static_cast<unsigned char>(token[1])) != 0) {
-    const auto dot = token.find('.');
-    if (dot != std::string::npos) {
-      auto group = ParseIntIn(token.substr(1, dot - 1), 0, 4096);
-      if (!group.ok()) return group.status();
-      param.group = static_cast<int>(*group);
-      key = token.substr(dot + 1);
-    }
-  } else if (token.size() >= 2 && token[0] == 'p' &&
-             std::isdigit(static_cast<unsigned char>(token[1])) != 0) {
-    const auto dot = token.find('.');
-    if (dot != std::string::npos) {
-      auto phase = ParseIntIn(token.substr(1, dot - 1), 0, 64);
-      if (!phase.ok()) return phase.status();
-      param.phase = static_cast<int>(*phase);
-      key = token.substr(dot + 1);
-    }
+  const auto dot = token.find('.');
+  if (token.size() >= 2 && (token[0] == 'g' || token[0] == 'p') &&
+      std::isdigit(static_cast<unsigned char>(token[1])) != 0 &&
+      dot != std::string::npos) {
+    // Out-of-range indices fail when the key is applied to a base.
+    auto index = scenario::ParseIntIn(token.substr(1, dot - 1), 0,
+                                      std::numeric_limits<int>::max());
+    if (!index.ok()) return index.status();
+    (token[0] == 'g' ? param.group : param.phase) = static_cast<int>(*index);
+    key = token.substr(dot + 1);
   }
-  for (ParamRef::Key candidate : kAllKeys) {
-    if (key == KeyName(candidate)) {
-      param.key = candidate;
-      if (param.group >= 0 && !param.IsTrafficKey()) {
-        return InvalidArgumentError("'" + key +
-                                    "' is scenario-level; it cannot be "
-                                    "scoped to a traffic directive");
-      }
-      if (param.phase >= 0 && candidate != ParamRef::Key::kDuration &&
-          candidate != ParamRef::Key::kWarmup) {
-        return InvalidArgumentError(
-            "only duration/warmup can be scoped to a phase, not '" + key +
-            "'");
-      }
-      return param;
+  for (ParamRef::Key candidate : AllParamKeys()) {
+    if (key != SyntaxOf(candidate).name) continue;
+    param.key = candidate;
+    if (param.group >= 0 && !param.IsTrafficKey()) {
+      return InvalidArgumentError("'" + key +
+                                  "' is scenario-level; it cannot be "
+                                  "scoped to a traffic directive");
     }
+    if (param.phase >= 0 && param.key != ParamRef::Key::kDuration &&
+        param.key != ParamRef::Key::kWarmup) {
+      return InvalidArgumentError(
+          "only duration/warmup can be scoped to a phase, not '" + key + "'");
+    }
+    return param;
   }
   if (sim::NamesRemovedThreadCount(key)) {
     return InvalidArgumentError(
@@ -268,185 +169,88 @@ Result<ParamRef> ParseParamRef(const std::string& token) {
   return InvalidArgumentError("unknown sweep parameter '" + token + "'");
 }
 
-Status ApplyParam(const ParamRef& param, const std::string& value,
-                  ScenarioSpec* spec) {
-  switch (param.key) {
-    case ParamRef::Key::kStu: {
-      // Mirrors the scenario parser: the SLOTS register is a 32-bit mask.
-      auto v = ParseIntIn(value, 1, core::regs::kMaxStuSlots);
-      if (!v.ok()) return v.status();
-      spec->stu_slots = static_cast<int>(*v);
-      return OkStatus();
-    }
-    case ParamRef::Key::kQueues: {
-      auto v = ParseIntIn(value, 1, 1 << 20);
-      if (!v.ok()) return v.status();
-      spec->queue_words = static_cast<int>(*v);
-      return OkStatus();
-    }
-    case ParamRef::Key::kSeed: {
-      auto v = ParseIntIn(value, 0, std::numeric_limits<std::int64_t>::max());
-      if (!v.ok()) return v.status();
-      spec->seed = static_cast<std::uint64_t>(*v);
-      return OkStatus();
-    }
-    case ParamRef::Key::kWarmup: {
-      auto v = ParseIntIn(value, 0, std::int64_t{1} << 40);
-      if (!v.ok()) return v.status();
-      if (param.phase >= 0) {
-        if (static_cast<std::size_t>(param.phase) >= spec->phases.size()) {
-          return InvalidArgumentError(
-              param.Name() + ": base scenario has " +
-              std::to_string(spec->phases.size()) + " phases");
-        }
-        spec->phases[static_cast<std::size_t>(param.phase)].warmup = *v;
-      } else {
-        spec->warmup = *v;
+Result<std::vector<std::string>> DirectiveTokens(ParamRef::Key key,
+                                                 const std::string& value) {
+  // The directive's own tokens: one word, or two split at the space.
+  const std::string_view directive = SyntaxOf(key).directive;
+  const std::size_t space = std::min(directive.find(' '), directive.size());
+  std::vector<std::string> tokens;
+  tokens.reserve(5);
+  tokens.emplace_back(directive.substr(0, space));
+  if (space < directive.size()) {
+    tokens.emplace_back(directive.substr(space + 1));
+  }
+  switch (key) {
+    case ParamRef::Key::kNoc: {
+      // star7 -> noc star 7; mesh4x4x1 -> noc mesh 4 4 1; ring6x1 -> ...
+      std::size_t at = 0;
+      while (at < value.size() &&
+             std::isalpha(static_cast<unsigned char>(value[at])) != 0) {
+        ++at;
       }
-      return OkStatus();
-    }
-    case ParamRef::Key::kDuration: {
-      auto v = ParseIntIn(value, 1, std::int64_t{1} << 40);
-      if (!v.ok()) return v.status();
-      if (param.phase >= 0) {
-        if (static_cast<std::size_t>(param.phase) >= spec->phases.size()) {
-          return InvalidArgumentError(
-              param.Name() + ": base scenario has " +
-              std::to_string(spec->phases.size()) + " phases");
-        }
-        spec->phases[static_cast<std::size_t>(param.phase)].duration = *v;
-      } else if (spec->Phased()) {
-        return InvalidArgumentError(
-            "a phased base scenario takes per-phase durations; use "
-            "pN.duration");
-      } else {
-        spec->duration = *v;
+      tokens.push_back(value.substr(0, at));
+      while (at < value.size()) {
+        const std::size_t x = std::min(value.find('x', at), value.size());
+        tokens.push_back(value.substr(at, x - at));
+        at = x + 1;
       }
-      return OkStatus();
-    }
-    case ParamRef::Key::kNetMhz: {
-      auto v = ParseIntIn(value, 1, 1000000);
-      if (!v.ok()) return v.status();
-      spec->net_mhz = static_cast<double>(*v);
-      return OkStatus();
-    }
-    case ParamRef::Key::kNoc:
-      return ApplyNoc(value, spec);
-    case ParamRef::Key::kEngine: {
-      const auto kind = sim::ParseEngineKind(value);
-      if (!kind.has_value()) {
-        return InvalidArgumentError(std::string("engine value must be ") +
-                                    sim::kEngineKindChoices + ", got '" +
-                                    value + "'");
-      }
-      spec->engine = *kind;
-      return OkStatus();
-    }
-    case ParamRef::Key::kRate: {
-      auto v = ParseDouble(value);
-      if (!v.ok()) return v.status();
-      if (*v <= 0.0 || *v > 1.0) {
-        return InvalidArgumentError("rate must be in (0, 1], got '" + value +
-                                    "'");
-      }
-      return ForEachTarget(
-          param, spec,
-          [](const TrafficSpec& t) { return t.inject == InjectKind::kBernoulli; },
-          [&](TrafficSpec* t) { t->rate = *v; }, "a bernoulli directive");
-    }
-    case ParamRef::Key::kPeriod: {
-      auto v = ParseIntIn(value, 1, std::int64_t{1} << 30);
-      if (!v.ok()) return v.status();
-      return ForEachTarget(
-          param, spec,
-          [](const TrafficSpec& t) { return t.inject == InjectKind::kPeriodic; },
-          [&](TrafficSpec* t) { t->period = *v; }, "a periodic directive");
+      return tokens;
     }
     case ParamRef::Key::kBurst: {
+      // 4/48 -> inject bursty 4 48
       const auto slash = value.find('/');
       if (slash == std::string::npos) {
         return InvalidArgumentError("burst value must be WORDS/GAP, got '" +
                                     value + "'");
       }
-      auto words = ParseIntIn(value.substr(0, slash), 1, std::int64_t{1} << 20);
-      auto gap = ParseIntIn(value.substr(slash + 1), 0, std::int64_t{1} << 30);
-      if (!words.ok()) return words.status();
-      if (!gap.ok()) return gap.status();
-      return ForEachTarget(
-          param, spec,
-          [](const TrafficSpec& t) { return t.inject == InjectKind::kBursty; },
-          [&](TrafficSpec* t) {
-            t->burst_words = *words;
-            t->gap_cycles = *gap;
-          },
-          "a bursty directive");
+      tokens.push_back(value.substr(0, slash));
+      tokens.push_back(value.substr(slash + 1));
+      return tokens;
     }
-    case ParamRef::Key::kGtSlots: {
-      auto v = ParseIntIn(value, 1, 1024);
-      if (!v.ok()) return v.status();
-      return ForEachTarget(
-          param, spec, [](const TrafficSpec& t) { return t.gt; },
-          [&](TrafficSpec* t) { t->gt_slots = static_cast<int>(*v); },
-          "a GT directive");
-    }
-    case ParamRef::Key::kQos: {
-      bool gt = false;
-      int slots = 0;
+    case ParamRef::Key::kQos:
+      // be -> qos be; gt2 -> qos gt 2
       if (value == "be") {
-        gt = false;
+        tokens.push_back(value);
       } else if (value.size() > 2 && value.compare(0, 2, "gt") == 0) {
-        auto v = ParseIntIn(value.substr(2), 1, 1024);
-        if (!v.ok()) return v.status();
-        gt = true;
-        slots = static_cast<int>(*v);
+        tokens.push_back("gt");
+        tokens.push_back(value.substr(2));
       } else {
         return InvalidArgumentError("qos value must be 'be' or 'gtN', got '" +
                                     value + "'");
       }
-      return ForEachTarget(
-          param, spec, [](const TrafficSpec&) { return true; },
-          [&](TrafficSpec* t) {
-            t->gt = gt;
-            t->gt_slots = slots;
-          },
-          "a traffic directive");
-    }
-    case ParamRef::Key::kFaultSeed: {
-      auto v = ParseIntIn(value, 0, std::numeric_limits<std::int64_t>::max());
-      if (!v.ok()) return v.status();
-      if (!spec->fault.has_value()) spec->fault.emplace();
-      spec->fault->seed = static_cast<std::uint64_t>(*v);
-      return OkStatus();
-    }
-    case ParamRef::Key::kFaultCorrupt:
-    case ParamRef::Key::kFaultDrop:
-    case ParamRef::Key::kFaultCfgDrop: {
-      auto v = ParseDouble(value);
-      if (!v.ok()) return v.status();
-      if (*v < 0.0 || *v > 1.0) {
-        return InvalidArgumentError(param.Name() + " must be in [0, 1], got '" +
-                                    value + "'");
-      }
-      // Mirrors the scenario parser's rule: config faults act on the
-      // runtime configuration protocol, which only phased workloads carry.
-      if (param.key == ParamRef::Key::kFaultCfgDrop && *v > 0.0 &&
-          !spec->Phased()) {
-        return InvalidArgumentError(
-            "fault.cfgdrop needs a phased base scenario (config faults act "
-            "on the runtime configuration protocol)");
-      }
-      if (!spec->fault.has_value()) spec->fault.emplace();
-      if (param.key == ParamRef::Key::kFaultCorrupt) {
-        spec->fault->link_corrupt_rate = *v;
-      } else if (param.key == ParamRef::Key::kFaultDrop) {
-        spec->fault->link_drop_rate = *v;
-      } else {
-        spec->fault->config_drop_rate = *v;
-      }
-      return OkStatus();
-    }
+      return tokens;
+    default:
+      tokens.push_back(value);
+      return tokens;
   }
-  return InvalidArgumentError("unhandled sweep parameter");
+}
+
+Status ApplyParam(const ParamRef& param, const std::string& value,
+                  ScenarioSpec* spec) {
+  auto tokens = DirectiveTokens(param.key, value);
+  if (!tokens.ok()) return tokens.status();
+  Status applied;
+  if (param.phase >= 0) {
+    if (static_cast<std::size_t>(param.phase) >= spec->phases.size()) {
+      return InvalidArgumentError(param.Name() + ": base scenario has " +
+                                  std::to_string(spec->phases.size()) +
+                                  " phases");
+    }
+    applied = scenario::ApplyPhaseTiming(
+        *tokens, 0, &spec->phases[static_cast<std::size_t>(param.phase)]);
+  } else if (param.IsTrafficKey()) {
+    applied = ApplyToTargets(param, *tokens, spec);
+  } else if (param.IsFaultKey()) {
+    if (!spec->fault.has_value()) spec->fault.emplace();
+    applied = fault::ApplyFaultDirective(*tokens, &*spec->fault);
+  } else {
+    applied = scenario::ApplyScalarDirective(*tokens, spec);
+  }
+  if (!applied.ok()) return applied;
+  // A line a cross-directive rule names is the base file's.
+  Status valid = scenario::ValidateScenario(*spec);
+  if (valid.ok()) return valid;
+  return Status(valid.code(), "in the base scenario, " + valid.message());
 }
 
 std::size_t SweepSpec::NumPoints() const {
@@ -498,33 +302,6 @@ Result<scenario::ScenarioSpec> MaterializePoint(const SweepSpec& spec,
 
 namespace {
 
-struct Line {
-  int number;
-  std::vector<std::string> tokens;
-};
-
-std::vector<Line> Tokenize(const std::string& text) {
-  std::vector<Line> lines;
-  std::istringstream stream(text);
-  std::string raw;
-  int number = 0;
-  while (std::getline(stream, raw)) {
-    ++number;
-    const auto hash = raw.find('#');
-    if (hash != std::string::npos) raw.erase(hash);
-    std::istringstream ls(raw);
-    Line line{number, {}};
-    std::string token;
-    while (ls >> token) line.tokens.push_back(token);
-    if (!line.tokens.empty()) lines.push_back(std::move(line));
-  }
-  return lines;
-}
-
-Status ParseError(int line, const std::string& message) {
-  return InvalidArgumentError("line " + std::to_string(line) + ": " + message);
-}
-
 /// Dry-runs a materialized spec's pattern expansion so structurally
 /// impossible grids (transpose on a non-square mesh, bit patterns on a
 /// non-power-of-two population, NI ids off the new topology) fail at
@@ -557,63 +334,65 @@ Result<SweepSpec> ParseSweep(
   bool have_base = false;
   bool have_name = false;
   std::vector<ParamRef> set_params;
-  for (const Line& line : Tokenize(text)) {
+  for (const scenario::SpecLine& line : scenario::TokenizeSpec(text)) {
     const std::string& kind = line.tokens[0];
     if (kind == "sweep") {
-      if (have_name) return ParseError(line.number, "duplicate 'sweep'");
+      if (have_name) return LineError(line.number, "duplicate 'sweep'");
       if (line.tokens.size() != 2) {
-        return ParseError(line.number, "sweep <name>");
+        return LineError(line.number, "sweep <name>");
       }
       spec.name = line.tokens[1];
       have_name = true;
     } else if (kind == "base") {
-      if (have_base) return ParseError(line.number, "duplicate 'base'");
+      if (have_base) return LineError(line.number, "duplicate 'base'");
       if (line.tokens.size() != 2) {
-        return ParseError(line.number, "base <scenario-file>");
+        return LineError(line.number, "base <scenario-file>");
       }
       spec.base_path = line.tokens[1];
       auto base = load_base(spec.base_path);
       if (!base.ok()) {
-        return ParseError(line.number, "base '" + spec.base_path +
-                                           "': " + base.status().message());
+        return LineError(line.number, "base '" + spec.base_path +
+                                          "': " + base.status().message());
       }
       spec.base = std::move(*base);
       have_base = true;
     } else if (kind == "set" || kind == "axis") {
       if (!have_base) {
-        return ParseError(line.number,
-                          "'base' must come before '" + kind + "'");
+        return LineError(line.number,
+                         "'base' must come before '" + kind + "'");
       }
       if (line.tokens.size() < 3) {
-        return ParseError(line.number, kind + " <param> <value...>");
+        return LineError(line.number, kind + " <param> <value...>");
       }
       auto param = ParseParamRef(line.tokens[1]);
       if (!param.ok()) {
-        return ParseError(line.number, param.status().message());
+        return LineError(line.number, param.status().message());
       }
       if (kind == "set") {
         if (line.tokens.size() != 3) {
-          return ParseError(line.number, "set <param> <value>");
+          return LineError(line.number, "set <param> <value>");
         }
-        // Same rule as the scenario parser's duplicate check: silently
-        // keeping the later value would make the earlier line a lie.
+        // A duplicate `set` is an error: silently keeping the later value
+        // would make the earlier line a lie.
         for (const ParamRef& earlier : set_params) {
           if (earlier == *param) {
-            return ParseError(line.number,
-                              "duplicate 'set " + param->Name() + "'");
+            return LineError(line.number,
+                             "duplicate 'set " + param->Name() + "'");
           }
         }
         set_params.push_back(*param);
         // Sets fold into the stored base, in file order.
         if (Status s = ApplyParam(*param, line.tokens[2], &spec.base);
             !s.ok()) {
-          return ParseError(line.number, s.message());
+          return LineError(line.number, "set " + param->Name() +
+                                            " value '" + line.tokens[2] +
+                                            "': " + s.message());
         }
       } else {
         for (const Axis& axis : spec.axes) {
           if (axis.param == *param) {
-            return ParseError(line.number, "duplicate axis on '" +
-                                               param->Name() + "'");
+            return LineError(line.number, "duplicate axis on '" +
+                                              param->Name() + "'");
           }
         }
         Axis axis;
@@ -624,40 +403,40 @@ Result<SweepSpec> ParseSweep(
       }
     } else if (kind == "saturate") {
       if (!have_base) {
-        return ParseError(line.number, "'base' must come before 'saturate'");
+        return LineError(line.number, "'base' must come before 'saturate'");
       }
       if (spec.saturation.enabled) {
-        return ParseError(line.number, "duplicate 'saturate'");
+        return LineError(line.number, "duplicate 'saturate'");
       }
       if (line.tokens.size() != 6 && line.tokens.size() != 8) {
-        return ParseError(
+        return LineError(
             line.number,
             "saturate <param> <lo> <hi> <mean|p99|max> <bound> [iters N]");
       }
       auto param = ParseParamRef(line.tokens[1]);
       if (!param.ok()) {
-        return ParseError(line.number, param.status().message());
+        return LineError(line.number, param.status().message());
       }
       if (param->key != ParamRef::Key::kRate) {
-        return ParseError(line.number,
-                          "saturate needs a continuous parameter (rate)");
+        return LineError(line.number,
+                         "saturate needs a continuous parameter (rate)");
       }
-      auto lo = ParseDouble(line.tokens[2]);
-      auto hi = ParseDouble(line.tokens[3]);
-      if (!lo.ok()) return ParseError(line.number, lo.status().message());
-      if (!hi.ok()) return ParseError(line.number, hi.status().message());
+      auto lo = scenario::ParseDouble(line.tokens[2]);
+      auto hi = scenario::ParseDouble(line.tokens[3]);
+      if (!lo.ok()) return LineError(line.number, lo.status().message());
+      if (!hi.ok()) return LineError(line.number, hi.status().message());
       if (!(*lo < *hi)) {
-        return ParseError(line.number, "saturate needs LO < HI");
+        return LineError(line.number, "saturate needs LO < HI");
       }
       const std::string& metric = line.tokens[4];
       if (metric != "mean" && metric != "p99" && metric != "max") {
-        return ParseError(line.number,
-                          "saturate metric must be mean, p99, or max");
+        return LineError(line.number,
+                         "saturate metric must be mean, p99, or max");
       }
-      auto bound = ParseDouble(line.tokens[5]);
-      if (!bound.ok()) return ParseError(line.number, bound.status().message());
+      auto bound = scenario::ParseDouble(line.tokens[5]);
+      if (!bound.ok()) return LineError(line.number, bound.status().message());
       if (*bound <= 0) {
-        return ParseError(line.number, "saturate bound must be > 0");
+        return LineError(line.number, "saturate bound must be > 0");
       }
       spec.saturation.enabled = true;
       spec.saturation.line = line.number;
@@ -668,16 +447,16 @@ Result<SweepSpec> ParseSweep(
       spec.saturation.bound = *bound;
       if (line.tokens.size() == 8) {
         if (line.tokens[6] != "iters") {
-          return ParseError(line.number, "expected 'iters N'");
+          return LineError(line.number, "expected 'iters N'");
         }
-        auto iters = ParseIntIn(line.tokens[7], 1, 32);
+        auto iters = scenario::ParseIntIn(line.tokens[7], 1, 32);
         if (!iters.ok()) {
-          return ParseError(line.number, iters.status().message());
+          return LineError(line.number, iters.status().message());
         }
         spec.saturation.iters = static_cast<int>(*iters);
       }
     } else {
-      return ParseError(line.number, "unknown directive '" + kind + "'");
+      return LineError(line.number, "unknown directive '" + kind + "'");
     }
   }
   if (!have_base) return InvalidArgumentError("sweep has no 'base' line");
@@ -688,15 +467,15 @@ Result<SweepSpec> ParseSweep(
     for (const std::string& value : axis.values) {
       if (Status s = ValidateAxisValue(axis.param, value, spec.base);
           !s.ok()) {
-        return ParseError(axis.line, "axis " + axis.param.Name() +
-                                         " value '" + value +
-                                         "': " + s.message());
+        return LineError(axis.line, "axis " + axis.param.Name() +
+                                        " value '" + value +
+                                        "': " + s.message());
       }
     }
     if (spec.saturation.enabled && axis.param == spec.saturation.param) {
-      return ParseError(axis.line, "'" + axis.param.Name() +
-                                       "' is both an axis and the saturate "
-                                       "parameter");
+      return LineError(axis.line, "'" + axis.param.Name() +
+                                      "' is both an axis and the saturate "
+                                      "parameter");
     }
   }
   if (spec.saturation.enabled) {
@@ -705,8 +484,8 @@ Result<SweepSpec> ParseSweep(
       if (Status s = ApplyParam(spec.saturation.param,
                                 FormatDouble(endpoint), &probe);
           !s.ok()) {
-        return ParseError(spec.saturation.line,
-                          "saturate endpoint: " + s.message());
+        return LineError(spec.saturation.line,
+                         "saturate endpoint: " + s.message());
       }
     }
   }

@@ -19,39 +19,47 @@
 //                                 # cycles) stays <= BOUND. N bisection
 //                                 # steps after the endpoints (default 8).
 //
-// PARAM is either a scenario-level knob or a traffic-directive knob,
-// optionally scoped to one directive with a `gN.` prefix (N = directive
-// index in the base file; unscoped traffic knobs apply to every directive
-// of the matching injection/QoS kind and fail if none matches):
+// A PARAM value is shorthand for a scenario directive: the sweep turns it
+// into that directive's tokens and applies them with the scenario parser's
+// own appliers (scenario/spec.h), so a value is valid in a sweep exactly
+// when the directive is valid in a .scn file. Traffic knobs apply to
+// every directive of the matching injection/QoS kind (and fail if none
+// matches), or to one directive with a `gN.` prefix (N = directive index
+// in the base file):
 //
-//   scenario level:  stu queues seed warmup duration netmhz noc engine
-//       noc values name the topology inline: star7, mesh4x4x1, ring6x1
-//       engine values are naive|gated (optimized and soa are aliases of
-//       gated); the engine steps on one thread, so a sweep uses cores
-//       through its worker count (noc_sweep --jobs N), never per point
-//   traffic level:   rate     (bernoulli directives; value in (0, 1])
-//                    period   (periodic directives; cycles >= 1)
-//                    burst    (bursty directives; value WORDS/GAP)
-//                    gtslots  (GT directives; reserved slots >= 1)
-//                    qos      (any directive; value be or gtN)
-//   fault level:     fault.seed     (fault-stream seed, >= 0)
-//                    fault.corrupt  (link corrupt rate, [0, 1])
-//                    fault.drop     (link drop rate, [0, 1])
-//                    fault.cfgdrop  (CNIP drop rate, [0, 1]; needs a
-//                                    phased base when > 0)
-//       fault keys create the base's fault block on first use, so a
-//       fault-free .scn can be swept straight into a resilience study
+//   scenario level:  stu queues seed warmup duration netmhz engine
+//                                 # `stu 16` -> stu 16, and so on
+//                    noc          # star7 -> noc star 7,
+//                                 # mesh4x4x1 -> noc mesh 4 4 1,
+//                                 # ring6x1 -> noc ring 6 1
+//   traffic level:   rate         # 0.05 -> inject bernoulli 0.05
+//                                 #   (bernoulli directives)
+//                    period       # 8 -> inject periodic 8 (periodic ones)
+//                    burst        # 4/48 -> inject bursty 4 48 (bursty ones)
+//                    gtslots      # 2 -> qos gt 2 (GT directives)
+//                    qos          # be -> qos be, gt2 -> qos gt 2 (any)
+//   fault level:     fault.seed     # 7 -> seed 7
+//                    fault.corrupt  # 0.001 -> link corrupt 0.001
+//                    fault.drop     # 0.001 -> link drop 0.001
+//                    fault.cfgdrop  # 0.01 -> config drop 0.01
+//       fault keys apply inside the base's fault block, creating it on
+//       first use, so a fault-free .scn can be swept straight into a
+//       resilience study
 //   phase level:     pN.duration / pN.warmup (phased base scenarios; N =
-//       phase index). Directive indices gN are global across phases, so
-//       traffic knobs already scope to one phase's directives — e.g.
+//       phase index) -> the `duration` / `warmup` of phase N's line.
+//       Directive indices gN are global across phases, so traffic knobs
+//       already scope to one phase's directives — e.g.
 //       `axis g2.gtslots 1 2 4` sweeps the slot budget of phase 2's
 //       directive when g2 lives in phase 2.
 //
-// Every `set` and axis value is validated against the base spec at parse
-// time, so a bad grid fails with a line number before any job runs.
-// Axis order and value order are part of the sweep's deterministic
-// identity: the same .swp always expands to the same job grid, and the
-// aggregated output is byte-identical for any worker count.
+// The engine steps on one thread, so a sweep uses cores through its
+// worker count (noc_sweep --jobs N), never per point. Every `set`, axis
+// value, saturation endpoint and materialized grid point ends in
+// scenario::ValidateScenario, so a bad value fails with a line number
+// before any job runs and cross-axis combinations are re-validated at
+// materialization. Axis order and value order are part of the sweep's
+// deterministic identity: the same .swp always expands to the same job
+// grid, and the aggregated output is byte-identical for any worker count.
 #ifndef AETHEREAL_SWEEP_SPEC_H
 #define AETHEREAL_SWEEP_SPEC_H
 
@@ -96,19 +104,31 @@ struct ParamRef {
   int phase = -1;  // phase index (kDuration/kWarmup of a phased base)
 
   bool IsTrafficKey() const;
+  bool IsFaultKey() const;
   /// Canonical spelling, e.g. "rate", "g0.rate", or "p1.duration".
   std::string Name() const;
 
   friend bool operator==(const ParamRef&, const ParamRef&) = default;
 };
 
+/// Every sweep key, in ParamRef::Key order (the key table behind
+/// ParseParamRef and DirectiveTokens).
+std::vector<ParamRef::Key> AllParamKeys();
+
 /// Parses "rate", "g2.qos", "stu", ... Fails on unknown keys or a scope
 /// prefix on a scenario-level key.
 Result<ParamRef> ParseParamRef(const std::string& token);
 
-/// Applies one parameter value to a scenario spec. The value grammar is
-/// per key (see the header comment); range checks mirror the scenario
-/// parser so a sweep cannot smuggle in an out-of-range value.
+/// The scenario directive tokens a value of `key` stands for (see the
+/// header comment), e.g. burst "4/48" -> {"inject", "bursty", "4", "48"}.
+/// Fails only on the sweep's own value syntax; the directive's ranges are
+/// the scenario parser's.
+Result<std::vector<std::string>> DirectiveTokens(ParamRef::Key key,
+                                                 const std::string& value);
+
+/// Applies one parameter value to a scenario spec: its directive tokens go
+/// through the scenario parser's appliers on the targeted directive(s),
+/// then the result through scenario::ValidateScenario.
 Status ApplyParam(const ParamRef& param, const std::string& value,
                   scenario::ScenarioSpec* spec);
 

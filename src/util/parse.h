@@ -1,7 +1,8 @@
-// Strict CLI number parsing shared by the tools.
+// Strict number parsing shared by the spec parsers and the tools.
 #ifndef AETHEREAL_UTIL_PARSE_H
 #define AETHEREAL_UTIL_PARSE_H
 
+#include <cmath>
 #include <cstdint>
 #include <optional>
 #include <stdexcept>
@@ -24,13 +25,28 @@ inline std::optional<std::uint64_t> ParseU64(const std::string& token) {
   }
 }
 
-/// Strict double parse under the same whole-token discipline.
+/// Strict signed integer parse under the same whole-token discipline;
+/// values outside int64 fail rather than saturate.
+inline std::optional<std::int64_t> ParseI64(const std::string& token) {
+  try {
+    std::size_t pos = 0;
+    if (token.empty()) return std::nullopt;
+    const std::int64_t value = std::stoll(token, &pos);
+    if (pos != token.size()) return std::nullopt;
+    return value;
+  } catch (const std::exception&) {
+    return std::nullopt;
+  }
+}
+
+/// Strict double parse under the same whole-token discipline; "nan" and
+/// "inf" fail too, since no range check can reject a NaN.
 inline std::optional<double> ParseF64(const std::string& token) {
   try {
     std::size_t pos = 0;
     if (token.empty()) return std::nullopt;
     const double value = std::stod(token, &pos);
-    if (pos != token.size()) return std::nullopt;
+    if (pos != token.size() || !std::isfinite(value)) return std::nullopt;
     return value;
   } catch (const std::exception&) {
     return std::nullopt;

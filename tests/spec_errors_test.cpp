@@ -2,12 +2,22 @@
 // keys, out-of-range values, and duplicate directives must produce clear
 // diagnostics with line numbers — never silent defaults. A scenario file
 // is the experiment record; a typo that parses is a corrupted experiment.
+// A generated test at the end checks that every sweep key accepts exactly
+// the values its .scn directive accepts, with the parser's message.
+#include <cstdint>
+#include <functional>
+#include <limits>
+#include <optional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "scenario/patterns.h"
 #include "scenario/spec.h"
 #include "sweep/spec.h"
+#include "util/rng.h"
 
 namespace aethereal::scenario {
 namespace {
@@ -340,6 +350,189 @@ TEST(SpecErrorsTest, EngineDirectiveErrors) {
   ExpectError("noc star 4\nengine soa threads 4\n", "noc_sweep --jobs", 2);
   ExpectError("noc star 4\nengine gated threads 1\n", "noc_sweep --jobs", 2);
   ExpectError("noc star 4\nengine naive threads 0\n", "noc_sweep --jobs", 2);
+}
+
+// ---------------------------------------------------------------------------
+// Sweep keys and .scn directives agree
+// ---------------------------------------------------------------------------
+
+/// A sweep value is shorthand for a directive, so `set KEY V` / `axis KEY
+/// V` and the directive written in a .scn file must accept the same values
+/// and reject the rest with the parser's text. The cases come from the
+/// sweep key table: each key's value range is found by searching what the
+/// .scn side accepts, then lo-1, lo, hi, hi+1 and a non-number are checked
+/// on both sides, on a static and on a phased base.
+class SweepAgreement {
+ public:
+  SweepAgreement(const sweep::ParamRef& param, bool phased)
+      : param_(param), phased_(phased) {}
+
+  /// The .scn verdict for `value`: parse plus the pattern dry-run the sweep
+  /// gives its base and every axis value.
+  Status Scn(const std::string& value) const {
+    auto tokens = sweep::DirectiveTokens(param_.key, value);
+    if (!tokens.ok()) return tokens.status();
+    auto spec = ParseScenario(Text(&*tokens));
+    if (!spec.ok()) return spec.status();
+    Rng rng(spec->seed);
+    for (const TrafficSpec& traffic : spec->traffic) {
+      if (auto flows = ExpandPattern(*spec, traffic, rng); !flows.ok()) {
+        return flows.status();
+      }
+    }
+    return OkStatus();
+  }
+
+  void ExpectAgreement(const std::string& value) const {
+    const Status scn = Scn(value);
+    std::string parser_text = scn.message();
+    if (parser_text.rfind("line ", 0) == 0) {
+      parser_text.erase(0, parser_text.find(": ") + 2);
+    }
+    for (const std::string form : {"set", "axis"}) {
+      auto sweep = sweep::ParseSweep(
+          "sweep s\nbase b.scn\n" + form + " " + param_.Name() + " " +
+              value + "\n",
+          [&](const std::string&) { return ParseScenario(Text(nullptr)); });
+      const std::string where = form + " " + param_.Name() + " " + value +
+                                (phased_ ? " (phased base)" : "");
+      EXPECT_EQ(sweep.ok(), scn.ok())
+          << where << "\n  .scn: " << scn << "\n  .swp: " << sweep.status();
+      if (!sweep.ok() && !scn.ok()) {
+        EXPECT_NE(sweep.status().message().find(parser_text),
+                  std::string::npos)
+            << where << "\n  .scn: " << scn << "\n  .swp: " << sweep.status();
+      }
+    }
+  }
+
+ private:
+  /// The base scenario, with `tokens` (the value's directive) written
+  /// where the key's directive goes; nullptr gives the base itself.
+  std::string Text(const std::vector<std::string>* tokens) const {
+    const auto join = [](const std::vector<std::string>& t) {
+      std::string out;
+      for (const std::string& token : t) out += " " + token;
+      return out;
+    };
+    const bool noc = param_.key == sweep::ParamRef::Key::kNoc;
+    std::string text = tokens != nullptr && noc ? join(*tokens).substr(1)
+                                                : "noc star 4";
+    if (phased_) {
+      text += "\nphase a duration 100";
+      if (param_.phase >= 0 && tokens != nullptr) {
+        const bool warmup = (*tokens)[0] == "warmup";
+        text = text.substr(0, text.rfind("duration")) +
+               (warmup ? "duration 100" : "") + join(*tokens);
+      }
+    }
+    // The directive a traffic key targets, then the key's own clause.
+    text += "\ntraffic pairs 0 1 inject periodic 8";
+    if (param_.IsTrafficKey()) {
+      const std::string sample =
+          param_.key == sweep::ParamRef::Key::kBurst ? "1/48"
+          : param_.key == sweep::ParamRef::Key::kQos ? "gt1"
+                                                     : "1";
+      text += join(*sweep::DirectiveTokens(param_.key, sample));
+      if (tokens != nullptr) text += join(*tokens);
+    }
+    if (tokens != nullptr && param_.IsFaultKey()) {
+      text += "\nfault\n" + join(*tokens).substr(1) + "\nend";
+    } else if (tokens != nullptr && !noc && !param_.IsTrafficKey() &&
+               param_.phase < 0) {
+      text += "\n" + join(*tokens).substr(1);
+    }
+    return text + "\n";
+  }
+
+  sweep::ParamRef param_;
+  bool phased_;
+};
+
+/// The integer interval [lo, hi] `accepts` takes around one of a few
+/// samples; nullopt when it takes none of them.
+std::optional<std::pair<std::int64_t, std::int64_t>> AcceptedRange(
+    const std::function<bool(std::int64_t)>& accepts) {
+  std::optional<std::int64_t> sample;
+  for (std::int64_t n : {1, 0, 3, 8, 100}) {
+    if (accepts(n)) {
+      sample = n;
+      break;
+    }
+  }
+  if (!sample.has_value()) return std::nullopt;
+  const auto edge = [&](std::int64_t good, std::int64_t bad) {
+    if (accepts(bad)) return bad;
+    while ((bad > good ? bad - good : good - bad) > 1) {
+      const std::int64_t mid = good + (bad - good) / 2;
+      (accepts(mid) ? good : bad) = mid;
+    }
+    return good;
+  };
+  return std::pair{edge(*sample, -(std::int64_t{1} << 62)),
+                   edge(*sample, std::numeric_limits<std::int64_t>::max())};
+}
+
+/// How a number is written as a value of `key` ({} marks the number).
+std::vector<std::string> ValueForms(sweep::ParamRef::Key key) {
+  switch (key) {
+    case sweep::ParamRef::Key::kNoc:
+      return {"star{}", "ring{}x1", "mesh{}x1x1"};
+    case sweep::ParamRef::Key::kBurst:
+      return {"{}/48", "4/{}"};
+    case sweep::ParamRef::Key::kQos:
+      return {"gt{}"};
+    default:
+      return {"{}"};
+  }
+}
+
+std::string Fill(const std::string& form, const std::string& number) {
+  std::string value = form;
+  return value.replace(value.find("{}"), 2, number);
+}
+
+TEST(SpecErrorsTest, SweepKeysAcceptWhatTheirDirectiveAccepts) {
+  std::vector<sweep::ParamRef> params;
+  for (sweep::ParamRef::Key key : sweep::AllParamKeys()) {
+    params.push_back({key, -1, -1});
+    if (key == sweep::ParamRef::Key::kDuration ||
+        key == sweep::ParamRef::Key::kWarmup) {
+      params.push_back({key, -1, 0});  // p0.duration / p0.warmup
+    }
+  }
+  for (const sweep::ParamRef& param : params) {
+    for (bool phased : {false, true}) {
+      if (param.phase >= 0 && !phased) continue;
+      const SweepAgreement agreement(param, phased);
+      for (const std::string& form : ValueForms(param.key)) {
+        std::vector<std::string> numbers = {"1", "8"};
+        const auto range = AcceptedRange([&](std::int64_t n) {
+          return agreement.Scn(Fill(form, std::to_string(n))).ok();
+        });
+        if (range.has_value()) {
+          const auto [lo, hi] = *range;
+          numbers = {std::to_string(lo - 1), std::to_string(lo),
+                     std::to_string(hi),
+                     std::to_string(static_cast<std::uint64_t>(hi) + 1)};
+        }
+        numbers.push_back("x");
+        for (const std::string& number : numbers) {
+          agreement.ExpectAgreement(Fill(form, number));
+        }
+      }
+      // A router radix above 32 on every topology, and the named values.
+      for (const char* value : {"mesh1x2x29", "ring3x31", "naive", "be"}) {
+        if ((param.key == sweep::ParamRef::Key::kNoc && value[0] != 'n' &&
+             value[0] != 'b') ||
+            (param.key == sweep::ParamRef::Key::kEngine &&
+             value[0] == 'n') ||
+            (param.key == sweep::ParamRef::Key::kQos && value[0] == 'b')) {
+          agreement.ExpectAgreement(value);
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

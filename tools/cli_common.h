@@ -2,8 +2,9 @@
 //
 // The three tools are front-ends over the same scenario stack and must
 // speak the same dialect: one --engine grammar (the sim::EngineKind
-// choices), one --verify / --fault / --seed / -o surface, one usage
-// formatter, and one failure-to-exit-code mapping. This header is that
+// choices), one --verify / --fault / -o surface, one way to override a
+// scenario field, one usage formatter, and one failure-to-exit-code
+// mapping. This header is that
 // dialect; each tool keeps only its genuinely tool-specific flags.
 //
 // Structure:
@@ -12,23 +13,31 @@
 //  * CommonOptions   — the flags every tool accepts, filled by
 //                      MatchCommonArg() from inside the tool's arg loop
 //                      (tri-state: matched / no match / error);
+//  * spec overrides  — flags that override a scenario field (--seed,
+//                      --duration, --converge*, ...), kept as raw strings
+//                      by MatchSpecFlag() and applied by ApplyOverrides()
+//                      as the scenario directives they stand for, so the
+//                      scenario parser is their only validator;
 //  * PrintUsage      — the one usage formatter (wrapped, aligned);
 //  * ExitCodeOf      — consistent exit codes: 0 success, 1 generic
 //                      failure, 3 bounded-wait expiry, 4 retry budget
 //                      exhausted;
-//  * fault helpers   — --fault file loading and the phased-scenario
-//                      applicability rule, with shared diagnostics;
 //  * output helpers  — result-document assembly ('-' streams to stdout;
 //                      several documents form a JSON array).
 #ifndef AETHEREAL_TOOLS_CLI_COMMON_H
 #define AETHEREAL_TOOLS_CLI_COMMON_H
 
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
 #include <limits>
+#include <map>
 #include <optional>
+#include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "fault/spec.h"
@@ -87,20 +96,6 @@ class ArgReader {
     return parsed;
   }
 
-  /// Value() parsed as a double in the OPEN interval (lo, hi); nullopt
-  /// (with a diagnostic naming `what`) on anything else.
-  std::optional<double> F64Value(const char* what, double lo, double hi) {
-    const char* v = Value();
-    if (v == nullptr) return std::nullopt;
-    const auto parsed = ParseF64(v);
-    if (!parsed || *parsed <= lo || *parsed >= hi) {
-      std::cerr << prog_ << ": " << arg_ << " needs " << what << ", got '"
-                << v << "'\n";
-      return std::nullopt;
-    }
-    return parsed;
-  }
-
  private:
   const char* prog_;
   int argc_;
@@ -109,26 +104,17 @@ class ArgReader {
   std::string arg_;
 };
 
-/// The option surface every tool shares. Tools interpret the fields
-/// through their own semantics (e.g. `seed` overrides the scenario seed in
-/// noc_sim / noc_sweep but seeds the fuzz batches in noc_verify); the
-/// grammar and diagnostics are identical everywhere.
+/// The option surface every tool shares; the grammar and diagnostics are
+/// identical everywhere.
 struct CommonOptions {
   std::optional<sim::EngineKind> engine;  // --engine (one specific engine)
   bool engine_all = false;                // --engine all (cross-check mode)
   bool verify = false;                    // --verify
   std::string fault_path;                 // --fault FILE ("" = none)
-  std::optional<std::uint64_t> seed;      // --seed N
   std::string output_path;                // -o/--output FILE ("" = none)
-
-  /// Stop-on-convergence overrides (--converge REL_ERR arms the mode; the
-  /// --converge-* flags tune it and require it). Applied on top of any
-  /// in-file `converge` directive by ApplyConvergeOverrides().
-  std::optional<double> converge_rel_err;        // --converge
-  std::optional<double> converge_conf;           // --converge-conf
-  std::optional<Cycle> converge_max_duration;    // --converge-max-duration
-  std::optional<Cycle> converge_interval;        // --converge-interval
-  std::optional<int> converge_batches;           // --converge-batches
+  /// Raw values of the spec-override flags given (see kSpecFlags), keyed
+  /// by flag; a repeated flag keeps its last value.
+  std::map<std::string, std::string> spec_flags;
 };
 
 enum class Match {
@@ -184,83 +170,81 @@ inline Match MatchCommonArg(ArgReader& args, CommonOptions* out,
     out->fault_path = v;
     return Match::kYes;
   }
-  if (arg == "--seed") {
-    const auto parsed = args.U64Value("a non-negative integer");
-    if (!parsed.has_value()) return Match::kError;
-    out->seed = *parsed;
-    return Match::kYes;
-  }
-  if (arg == "--converge") {
-    const auto parsed = args.F64Value("a relative error in (0, 1)", 0.0, 1.0);
-    if (!parsed.has_value()) return Match::kError;
-    out->converge_rel_err = *parsed;
-    return Match::kYes;
-  }
-  if (arg == "--converge-conf") {
-    const auto parsed =
-        args.F64Value("a confidence level in (0.5, 1)", 0.5, 1.0);
-    if (!parsed.has_value()) return Match::kError;
-    out->converge_conf = *parsed;
-    return Match::kYes;
-  }
-  if (arg == "--converge-max-duration") {
-    const auto parsed =
-        args.U64Value("a positive cycle count", 1, std::uint64_t{1} << 40);
-    if (!parsed.has_value()) return Match::kError;
-    out->converge_max_duration = static_cast<Cycle>(*parsed);
-    return Match::kYes;
-  }
-  if (arg == "--converge-interval") {
-    const auto parsed =
-        args.U64Value("a positive cycle count", 1, std::uint64_t{1} << 40);
-    if (!parsed.has_value()) return Match::kError;
-    out->converge_interval = static_cast<Cycle>(*parsed);
-    return Match::kYes;
-  }
-  if (arg == "--converge-batches") {
-    const auto parsed = args.U64Value("a batch count in [2, 4096]", 2, 4096);
-    if (!parsed.has_value()) return Match::kError;
-    out->converge_batches = static_cast<int>(*parsed);
-    return Match::kYes;
-  }
   return Match::kNo;
 }
 
-/// Applies the CLI convergence overrides to a spec. --converge arms the
-/// mode (or tightens an in-file `converge` directive); the tuning flags
-/// require the mode to be armed — by either surface — because silently
-/// ignoring them would misreport error bars. Returns false with
-/// diagnostics on that misuse.
-inline bool ApplyConvergeOverrides(const char* prog,
-                                   const CommonOptions& options,
-                                   scenario::ScenarioSpec* spec) {
-  if (options.converge_rel_err.has_value()) {
-    spec->converge.enabled = true;
-    spec->converge.rel_err = *options.converge_rel_err;
+/// A flag that overrides one scenario field, and the directive it stands
+/// for: `--seed 3` applies as `seed 3`, `--sample-every 300` as `stats
+/// sample_every 300`. Listed in the order they apply, so --converge arms
+/// the mode before the flags that tune it.
+struct SpecFlag {
+  const char* flag;
+  const char* directive;
+};
+
+inline constexpr SpecFlag kSpecFlags[] = {
+    {"--seed", "seed"},
+    {"--duration", "duration"},
+    {"--trace", "trace"},
+    {"--sample-every", "stats sample_every"},
+    {"--converge", "converge rel_err"},
+    {"--converge-conf", "converge conf"},
+    {"--converge-max-duration", "converge max_duration"},
+    {"--converge-interval", "converge interval"},
+    {"--converge-batches", "converge batches"},
+};
+
+/// Matches the current argument against the spec-override flags a tool
+/// accepts (`accepted`, names from kSpecFlags) and keeps its raw value.
+inline Match MatchSpecFlag(ArgReader& args,
+                           std::initializer_list<std::string_view> accepted,
+                           CommonOptions* out) {
+  const std::string& arg = args.Arg();
+  if (std::find(accepted.begin(), accepted.end(), arg) == accepted.end()) {
+    return Match::kNo;
   }
-  const bool tuning = options.converge_conf.has_value() ||
-                      options.converge_max_duration.has_value() ||
-                      options.converge_interval.has_value() ||
-                      options.converge_batches.has_value();
-  if (tuning && !spec->converge.enabled) {
-    std::cerr << prog << ": --converge-* flags need convergence mode armed "
-              << "(pass --converge REL_ERR or add a `converge` directive "
-              << "to the spec)\n";
-    return false;
+  const char* v = args.Value();
+  if (v == nullptr) return Match::kError;
+  out->spec_flags[arg] = v;
+  return Match::kYes;
+}
+
+/// Applies the command-line overrides to a loaded spec the way the spec's
+/// own lines apply: each kept spec-flag value as its directive through
+/// scenario::ApplyScalarDirective, then the --fault file's block in place
+/// of the spec's, each followed by scenario::ValidateScenario; then
+/// --engine and --verify. Errors are prefixed with the flag.
+inline Status ApplyOverrides(const CommonOptions& options,
+                             const std::optional<fault::FaultSpec>& fault,
+                             scenario::ScenarioSpec* spec) {
+  const auto checked = [spec](const std::string& flag, Status status) {
+    if (status.ok()) status = scenario::ValidateScenario(*spec);
+    if (status.ok()) return status;
+    return Status(status.code(), flag + ": " + status.message());
+  };
+  for (const SpecFlag& spec_flag : kSpecFlags) {
+    const auto it = options.spec_flags.find(spec_flag.flag);
+    if (it == options.spec_flags.end()) continue;
+    std::vector<std::string> tokens;
+    std::istringstream directive(spec_flag.directive);
+    for (std::string token; directive >> token;) tokens.push_back(token);
+    tokens.push_back(it->second);
+    if (Status s = checked(spec_flag.flag,
+                           scenario::ApplyScalarDirective(tokens, spec));
+        !s.ok()) {
+      return s;
+    }
   }
-  if (options.converge_conf.has_value()) {
-    spec->converge.conf = *options.converge_conf;
+  if (fault.has_value()) {
+    spec->fault = fault;
+    if (Status s = checked("--fault " + options.fault_path, OkStatus());
+        !s.ok()) {
+      return s;
+    }
   }
-  if (options.converge_max_duration.has_value()) {
-    spec->converge.max_duration = *options.converge_max_duration;
-  }
-  if (options.converge_interval.has_value()) {
-    spec->converge.interval = *options.converge_interval;
-  }
-  if (options.converge_batches.has_value()) {
-    spec->converge.batches = *options.converge_batches;
-  }
-  return true;
+  if (options.engine) spec->engine = *options.engine;
+  if (options.verify) spec->verify = true;
+  return OkStatus();
 }
 
 /// The one usage formatter: "usage: PROG PIECE PIECE ...", wrapped at 78
@@ -308,26 +292,6 @@ inline std::optional<fault::FaultSpec> LoadFaultOverride(
     return std::nullopt;
   }
   return std::move(*loaded);
-}
-
-/// The applicability rule a fault override shares with in-file fault
-/// blocks: config faults and the retry policy act on the runtime
-/// configuration protocol, which only phased scenarios exercise. Returns
-/// false (diagnostics printed, naming `label`) when the override cannot
-/// arm `spec`.
-inline bool FaultOverrideApplies(const char* prog,
-                                 const std::string& fault_path,
-                                 const fault::FaultSpec& fault,
-                                 const scenario::ScenarioSpec& spec,
-                                 const std::string& label) {
-  if ((fault.AnyConfigFaults() || fault.retry.enabled) && !spec.Phased()) {
-    std::cerr << prog << ": --fault " << fault_path << ": config faults "
-              << "and the retry policy act on the runtime configuration "
-              << "protocol, which only phased scenarios exercise ('" << label
-              << "' is not phased)\n";
-    return false;
-  }
-  return true;
 }
 
 /// Assembles the output document: a single result stays a bare object; a

@@ -14,8 +14,9 @@
 //                         results are bit-identical on both). The engine
 //                         steps on one thread: to use several cores, run
 //                         independent simulations with noc_sweep --jobs N
-//     --seed N            override the spec's RNG seed
+//     --seed N            override the spec's RNG seed (`seed N`)
 //     --duration N        override the spec's measured-cycle count
+//                         (`duration N`; not on phased specs)
 //     --verify            arm the guarantee-verification layer (runtime
 //                         invariant checkers + analytical GT bounds); any
 //                         violation fails the run
@@ -31,14 +32,22 @@
 //     --converge E        stop-on-convergence mode (DESIGN.md §14): run
 //                         until the batch-means CI of the measured latency
 //                         tightens to relative error E, instead of the
-//                         fixed duration. Tunables: --converge-conf C,
-//                         --converge-max-duration D, --converge-interval I,
-//                         --converge-batches B
+//                         fixed duration (`converge rel_err E`). Tunables:
+//                         --converge-conf C, --converge-max-duration D,
+//                         --converge-interval I, --converge-batches B (the
+//                         directive's conf / max_duration / interval /
+//                         batches; they need the mode armed by --converge
+//                         or the spec)
+//
+// The flags that override a spec field apply as the directive they stand
+// for, after the spec is loaded, so they take exactly the values the spec
+// file takes; an error names the flag and gives the spec parser's message.
 //     --stats-csv FILE    write the per-window per-link utilization CSV to
 //                         FILE (needs sampling: a `stats` line in the spec
 //                         or --sample-every)
-//     --validate          parse + fully wire each spec, report diagnostics
-//                         (with line numbers), and exit without running
+//     --validate          parse + fully wire each spec (with the overrides
+//                         above applied), report diagnostics (with line
+//                         numbers), and exit without running
 //     --print             like --validate, and dump the expanded SoC
 //                         (topology, per-NI channels, every flow + connid)
 //     --quiet             suppress the human-readable summary
@@ -47,7 +56,6 @@
 // bounded wait expired (drain window, config-ack timeout without retry),
 // 4 when the config retry policy exhausted its budget.
 #include <iostream>
-#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -67,9 +75,6 @@ namespace {
 struct CliOptions {
   cli::CommonOptions common;
   std::vector<std::string> spec_paths;
-  std::optional<Cycle> duration;
-  std::string trace_path;
-  std::optional<Cycle> sample_every;
   std::string stats_csv_path;
   bool validate = false;
   bool print = false;
@@ -92,33 +97,19 @@ void PrintUsage(std::ostream& os) {
 bool ParseArgs(int argc, char** argv, CliOptions* options) {
   cli::ArgReader args("noc_sim", argc, argv);
   while (args.Next()) {
-    switch (cli::MatchCommonArg(args, &options->common)) {
-      case cli::Match::kYes:
-        continue;
-      case cli::Match::kError:
-        return false;
-      case cli::Match::kNo:
-        break;
+    cli::Match match = cli::MatchCommonArg(args, &options->common);
+    if (match == cli::Match::kNo) {
+      match = cli::MatchSpecFlag(
+          args,
+          {"--seed", "--duration", "--trace", "--sample-every", "--converge",
+           "--converge-conf", "--converge-max-duration",
+           "--converge-interval", "--converge-batches"},
+          &options->common);
     }
+    if (match == cli::Match::kError) return false;
+    if (match == cli::Match::kYes) continue;
     const std::string& arg = args.Arg();
-    if (arg == "--duration") {
-      const auto parsed = args.U64Value(
-          "a cycle count >= 1", 1,
-          static_cast<std::uint64_t>(std::numeric_limits<Cycle>::max()));
-      if (!parsed.has_value()) return false;
-      options->duration = static_cast<Cycle>(*parsed);
-    } else if (arg == "--trace") {
-      const char* v = args.Value();
-      if (v == nullptr) return false;
-      options->trace_path = v;
-    } else if (arg == "--sample-every") {
-      const auto parsed = args.U64Value(
-          "a cycle count >= one slot (3 cycles)",
-          static_cast<std::uint64_t>(kFlitWords),
-          static_cast<std::uint64_t>(std::int64_t{1} << 40));
-      if (!parsed.has_value()) return false;
-      options->sample_every = static_cast<Cycle>(*parsed);
-    } else if (arg == "--stats-csv") {
+    if (arg == "--stats-csv") {
       const char* v = args.Value();
       if (v == nullptr) return false;
       options->stats_csv_path = v;
@@ -146,7 +137,8 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
   // One trace / stats-CSV file cannot hold several runs: the second spec
   // would silently overwrite the first one's artifact.
   if (options->spec_paths.size() > 1 &&
-      (!options->trace_path.empty() || !options->stats_csv_path.empty())) {
+      (options->common.spec_flags.count("--trace") > 0 ||
+       !options->stats_csv_path.empty())) {
     std::cerr << "noc_sim: --trace / --stats-csv take exactly one "
                  "SPEC_FILE\n";
     return false;
@@ -234,15 +226,24 @@ void PrintSummary(const scenario::ScenarioResult& result,
   std::cout << "\n";
 }
 
-/// --validate / --print: parse and fully wire each spec without running.
-/// Reports per-file diagnostics (parse errors carry line numbers) and
-/// keeps going so one bad spec doesn't mask the next one's problems.
-int ValidateSpecs(const CliOptions& options) {
+/// --validate / --print: parse each spec, apply the command-line
+/// overrides, and fully wire it without running. Reports per-file
+/// diagnostics (parse errors carry line numbers) and keeps going so one
+/// bad spec doesn't mask the next one's problems.
+int ValidateSpecs(const CliOptions& options,
+                  const std::optional<fault::FaultSpec>& fault_override) {
   int failures = 0;
   for (const std::string& path : options.spec_paths) {
     auto spec = scenario::LoadScenarioFile(path);
     if (!spec.ok()) {
       std::cerr << "noc_sim: " << spec.status() << "\n";
+      ++failures;
+      continue;
+    }
+    if (Status s = cli::ApplyOverrides(options.common, fault_override,
+                                       &*spec);
+        !s.ok()) {
+      std::cerr << "noc_sim: " << path << ": " << s << "\n";
       ++failures;
       continue;
     }
@@ -268,13 +269,14 @@ int ValidateSpecs(const CliOptions& options) {
 int main(int argc, char** argv) {
   CliOptions options;
   if (!ParseArgs(argc, argv, &options)) return 1;
-  if (options.validate || options.print) return ValidateSpecs(options);
-
   std::optional<fault::FaultSpec> fault_override;
   if (!options.common.fault_path.empty()) {
     fault_override =
         cli::LoadFaultOverride("noc_sim", options.common.fault_path);
     if (!fault_override.has_value()) return 1;
+  }
+  if (options.validate || options.print) {
+    return ValidateSpecs(options, fault_override);
   }
 
   std::vector<std::string> jsons;
@@ -284,30 +286,12 @@ int main(int argc, char** argv) {
       std::cerr << "noc_sim: " << spec.status() << "\n";
       return 1;
     }
-    if (fault_override.has_value()) {
-      // Same rule the scenario parser enforces for in-file fault blocks.
-      if (!cli::FaultOverrideApplies("noc_sim", options.common.fault_path,
-                                     *fault_override, *spec, path)) {
-        return 1;
-      }
-      spec->fault = fault_override;
-    }
-    if (options.common.engine) spec->engine = *options.common.engine;
-    if (options.common.seed) spec->seed = *options.common.seed;
-    if (options.duration) {
-      if (spec->Phased()) {
-        std::cerr << "noc_sim: " << path << ": --duration cannot override a "
-                  << "phased scenario (durations are per phase)\n";
-        return 1;
-      }
-      spec->duration = *options.duration;
-    }
-    if (options.common.verify) spec->verify = true;
-    if (!cli::ApplyConvergeOverrides("noc_sim", options.common, &*spec)) {
+    if (Status s = cli::ApplyOverrides(options.common, fault_override,
+                                       &*spec);
+        !s.ok()) {
+      std::cerr << "noc_sim: " << path << ": " << s << "\n";
       return 1;
     }
-    if (!options.trace_path.empty()) spec->obs.trace_path = options.trace_path;
-    if (options.sample_every) spec->obs.sample_every = *options.sample_every;
     if (!options.stats_csv_path.empty() && !spec->obs.SamplingEnabled()) {
       std::cerr << "noc_sim: " << path << ": --stats-csv needs sampling — "
                 << "add 'stats sample_every N' to the spec or pass "

@@ -16,24 +16,30 @@
 //     --curve PARAM       with --csv: emit the latency–throughput curve
 //                         keyed on axis PARAM instead of the point table
 //     --axis PARAM=V1,V2,...  add or replace an axis from the command
-//                         line (repeatable). PARAM accepts the same gN.
-//                         directive scoping and pN. phase scoping
-//                         (pN.duration / pN.warmup of phased bases) as
-//                         the .swp grammar (src/sweep/spec.h)
+//                         line (repeatable). PARAM and its values follow
+//                         the .swp grammar (src/sweep/spec.h), gN. and
+//                         pN. scoping included, and are validated like
+//                         file axes
 //     --verify            arm the guarantee-verification layer in every
 //                         grid point and saturation probe; any violation
 //                         fails the sweep
 //     --engine E          override the base scenario's engine (naive |
 //                         gated) for every point
 //     --seed N            override the base scenario's RNG seed
+//                         (`seed N`)
 //     --fault FILE        arm the fault models from a fault file in every
 //                         grid point (replaces the base's fault block)
 //     --converge E        arm stop-on-convergence mode (DESIGN.md §14) in
 //                         every grid point: each point runs until its
-//                         batch-means latency CI reaches relative error E.
-//                         Tunables: --converge-conf C,
-//                         --converge-max-duration D, --converge-interval I,
-//                         --converge-batches B
+//                         batch-means latency CI reaches relative error E
+//                         (`converge rel_err E`). Tunables: --converge-conf
+//                         C, --converge-max-duration D, --converge-interval
+//                         I, --converge-batches B (the directive's conf /
+//                         max_duration / interval / batches)
+//
+// --seed and the --converge flags apply to the base scenario as the
+// directive they stand for, so they take exactly the values a .scn file
+// takes; an error names the flag and gives the spec parser's message.
 //     --validate          expand and fully validate every grid point
 //                         (parse + pattern + wiring) without running
 //     --quiet             suppress the human-readable summary
@@ -88,14 +94,17 @@ void PrintUsage(std::ostream& os) {
 bool ParseArgs(int argc, char** argv, CliOptions* options) {
   cli::ArgReader args("noc_sweep", argc, argv);
   while (args.Next()) {
-    switch (cli::MatchCommonArg(args, &options->common)) {
-      case cli::Match::kYes:
-        continue;
-      case cli::Match::kError:
-        return false;
-      case cli::Match::kNo:
-        break;
+    cli::Match match = cli::MatchCommonArg(args, &options->common);
+    if (match == cli::Match::kNo) {
+      match = cli::MatchSpecFlag(
+          args,
+          {"--seed", "--converge", "--converge-conf",
+           "--converge-max-duration", "--converge-interval",
+           "--converge-batches"},
+          &options->common);
     }
+    if (match == cli::Match::kError) return false;
+    if (match == cli::Match::kYes) continue;
     const std::string& arg = args.Arg();
     if (arg == "--csv") {
       const char* v = args.Value();
@@ -290,7 +299,7 @@ int main(int argc, char** argv) {
     if (!spec.ok()) {
       std::cerr << "noc_sweep: " << spec.status() << "\n";
       // --validate keeps going so one bad sweep doesn't mask the next
-      // one's problems (mirrors noc_sim --validate).
+      // one's problems, as noc_sim --validate does.
       if (!options.validate) return 1;
       ++validate_failures;
       continue;
@@ -303,23 +312,13 @@ int main(int argc, char** argv) {
     }
     // Materialized points copy the base spec, so these overrides reach
     // every grid point and saturation probe.
-    if (options.common.verify) spec->base.verify = true;
-    if (options.common.engine) spec->base.engine = *options.common.engine;
-    if (options.common.seed) spec->base.seed = *options.common.seed;
-    if (!cli::ApplyConvergeOverrides("noc_sweep", options.common,
-                                     &spec->base)) {
+    if (Status s = cli::ApplyOverrides(options.common, fault_override,
+                                       &spec->base);
+        !s.ok()) {
+      std::cerr << "noc_sweep: " << path << ": " << s << "\n";
       if (!options.validate) return 1;
       ++validate_failures;
       continue;
-    }
-    if (fault_override.has_value()) {
-      if (!cli::FaultOverrideApplies("noc_sweep", options.common.fault_path,
-                                     *fault_override, spec->base, path)) {
-        if (!options.validate) return 1;
-        ++validate_failures;
-        continue;
-      }
-      spec->base.fault = fault_override;
     }
 
     if (options.validate) {

@@ -51,6 +51,7 @@ namespace {
 struct CliOptions {
   cli::CommonOptions common;
   std::vector<std::string> spec_paths;
+  std::uint64_t seed = 1;  // fuzz / fault-fuzz batch seed
   int fuzz = 0;
   int fault_fuzz = 0;
   bool bounds = false;
@@ -88,7 +89,11 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
         break;
     }
     const std::string& arg = args.Arg();
-    if (arg == "--fuzz" || arg == "--fault-fuzz") {
+    if (arg == "--seed") {
+      const auto parsed = args.U64Value("a non-negative integer");
+      if (!parsed.has_value()) return false;
+      options->seed = *parsed;
+    } else if (arg == "--fuzz" || arg == "--fault-fuzz") {
       const auto parsed =
           args.U64Value("a batch size in [0, 1000000]", 0, 1'000'000);
       if (!parsed.has_value()) return false;
@@ -237,23 +242,22 @@ int main(int argc, char** argv) {
       tally(1);
       continue;
     }
-    if (fault_override.has_value()) {
-      if (!cli::FaultOverrideApplies("noc_verify", options.common.fault_path,
-                                     *fault_override, *spec, path)) {
-        tally(1);
-        continue;
-      }
-      spec->fault = fault_override;
+    if (Status s = cli::ApplyOverrides(options.common, fault_override,
+                                       &*spec);
+        !s.ok()) {
+      std::cerr << "noc_verify: " << path << ": " << s << "\n";
+      tally(1);
+      continue;
     }
     tally(RunWorkload(options, *spec, path, &jsons));
   }
   for (int i = 0; i < options.fuzz; ++i) {
     scenario::ScenarioSpec spec =
-        verify::RandomConformanceSpec(options.common.seed.value_or(1), i);
+        verify::RandomConformanceSpec(options.seed, i);
     tally(RunWorkload(options, spec, spec.name, &jsons));
   }
   for (int i = 0; i < options.fault_fuzz; ++i) {
-    const std::uint64_t seed = options.common.seed.value_or(1);
+    const std::uint64_t seed = options.seed;
     scenario::ScenarioSpec spec = verify::RandomFaultWorkload(seed, i);
     const int num_routers = spec.topology == scenario::TopologyKind::kStar
                                 ? 1
